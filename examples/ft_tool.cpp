@@ -45,8 +45,8 @@
 #include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/ft/injector.hpp"
@@ -80,7 +80,7 @@ struct RunResult {
 
 /// Replays `stream` on a fresh service; `engine_policy` non-null attaches a
 /// repair engine fed with `campaign`. Returns degradation-relevant facts
-/// derived from the JSONL trace (the post-repair truth — JobOutcome keeps
+/// derived from the event trace (the post-repair truth — JobOutcome keeps
 /// admission-time placements only).
 RunResult run_stream(const online::ServiceConfig& config,
                      const std::vector<online::JobSubmission>& stream,
@@ -88,15 +88,15 @@ RunResult run_stream(const online::ServiceConfig& config,
                      std::span<const ft::Disruption> campaign,
                      ft::FtCounters* counters_out,
                      std::vector<ft::JobDisposition>* dispositions_out,
-                     std::string* trace_out) {
+                     std::vector<online::TraceRecord>* trace_out) {
   online::SchedulerService service(config);
   std::optional<ft::RepairEngine> engine;
   if (engine_policy != nullptr) {
     engine.emplace(service, *engine_policy);
     engine->schedule_all(campaign);
   }
-  std::ostringstream trace_os;
-  online::TraceWriter writer(trace_os);
+  std::vector<online::TraceRecord> trace;
+  online::TraceWriter writer(trace);
   service.set_trace(&writer);
   for (const online::JobSubmission& sub : stream) service.submit(sub);
   service.run_all();
@@ -120,8 +120,7 @@ RunResult run_stream(const online::ServiceConfig& config,
 
   RunResult result;
   std::map<int, double> last_done;
-  std::istringstream trace_in(trace_os.str());
-  for (const online::TraceRecord& rec : online::read_trace(trace_in)) {
+  for (const online::TraceRecord& rec : trace) {
     if (rec.type != "task_done") continue;
     result.makespan = std::max(result.makespan, rec.time);
     auto [it, fresh] = last_done.try_emplace(rec.job, rec.time);
@@ -134,7 +133,7 @@ RunResult run_stream(const online::ServiceConfig& config,
     if (it != last_done.end() && it->second > deadline)
       ++result.deadline_misses;
   }
-  if (trace_out != nullptr) *trace_out = trace_os.str();
+  if (trace_out != nullptr) *trace_out = std::move(trace);
   return result;
 }
 
@@ -245,7 +244,7 @@ int run(int argc, char** argv) {
 
   ft::FtCounters counters;
   std::vector<ft::JobDisposition> dispositions;
-  std::string trace;
+  std::vector<online::TraceRecord> trace;
   const RunResult disrupted =
       run_stream(config, stream, &policy, campaign, &counters, &dispositions,
                  trace_path.empty() ? nullptr : &trace);
@@ -316,7 +315,8 @@ int run(int argc, char** argv) {
       std::fprintf(stderr, "cannot open trace file: %s\n", trace_path.c_str());
       return 1;
     }
-    trace_file << trace;
+    for (const online::TraceRecord& r : trace)
+      trace_file << online::to_json_line(r) << '\n';
     std::printf("disrupted event trace written to %s\n", trace_path.c_str());
   }
   return 0;

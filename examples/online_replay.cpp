@@ -137,15 +137,15 @@ int run(int argc, char** argv) {
                                    : online::AdmissionPolicy::kCounterOffer;
     shard::ShardedService service(config);
 
-    // Per-shard traces buffer in memory; the file gets their deterministic
-    // (time, shard, seq) merge.
-    std::vector<std::ostringstream> buffers(
+    // Per-shard traces collect as records in memory; the file gets their
+    // deterministic (time, shard, seq) merge.
+    std::vector<std::vector<online::TraceRecord>> traces(
         static_cast<std::size_t>(shards));
     std::vector<online::TraceWriter> writers;
     writers.reserve(static_cast<std::size_t>(shards));
     if (!trace_path.empty()) {
       for (int s = 0; s < shards; ++s) {
-        writers.emplace_back(buffers[static_cast<std::size_t>(s)], s);
+        writers.emplace_back(traces[static_cast<std::size_t>(s)], s);
         service.engine(s).set_trace(&writers.back());
       }
     }
@@ -173,14 +173,8 @@ int run(int argc, char** argv) {
                      trace_path.c_str());
         return 1;
       }
-      std::vector<std::vector<online::TraceRecord>> per_shard;
-      per_shard.reserve(static_cast<std::size_t>(shards));
-      for (int s = 0; s < shards; ++s) {
-        std::istringstream in(buffers[static_cast<std::size_t>(s)].str());
-        per_shard.push_back(online::read_trace(in));
-      }
       for (const online::TraceRecord& r :
-           online::merge_traces(std::move(per_shard)))
+           online::merge_traces(std::move(traces)))
         trace_file << online::to_json_line(r) << '\n';
       std::printf("merged event trace written to %s\n", trace_path.c_str());
     }

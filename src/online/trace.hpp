@@ -22,9 +22,16 @@
 // records render exactly as before, so single-engine traces (and their
 // golden files) are byte-for-byte unchanged.
 //
-// Doubles are formatted with %.17g, which strtod parses back to the exact
-// same bits, so write -> read -> write round-trips byte-identically — the
-// property the golden-file test in tests/online_trace_test.cpp enforces.
+// Doubles are formatted as %.17g (std::to_chars with general format and
+// precision 17, which is specified as exactly that printf conversion), and
+// strtod parses them back to the exact same bits, so write -> read -> write
+// round-trips byte-identically — the property the golden-file test in
+// tests/online_trace_test.cpp enforces.
+//
+// JSONL is an edge format: the CLIs and the daemon write it, and
+// trace_tool reads trace files back from disk. In-process consumers (the
+// PDES replay, the sharded daemon, tests) capture TraceRecords directly
+// through a record-sink TraceWriter and never format or parse text.
 #pragma once
 
 #include <cstdint>
@@ -53,25 +60,35 @@ struct TraceRecord {
 /// Formats a double such that strtod(result) reproduces the value exactly.
 std::string format_double(double v);
 
-/// Streams records as JSONL. The stream is borrowed, not owned. A writer
+/// Writes records either as JSONL lines to a stream or as records appended
+/// to a vector; the stream or vector is borrowed, not owned. A writer
 /// constructed with a shard id stamps it into every untagged record it
 /// writes — the per-shard writers of a sharded service tag mechanically
-/// while single-engine callers stay schema-compatible.
+/// while single-engine callers stay schema-compatible. A record sink holds
+/// exactly what parsing the streamed lines back would produce, without
+/// formatting any text (type names are checked for JSON safety only when a
+/// record is rendered).
 class TraceWriter {
  public:
   explicit TraceWriter(std::ostream& out, int shard = -1)
       : out_(&out), shard_(shard) {}
+  explicit TraceWriter(std::vector<TraceRecord>& sink, int shard = -1)
+      : sink_(&sink), shard_(shard) {}
   void write(const TraceRecord& record);
 
  private:
-  std::ostream* out_;
+  std::ostream* out_ = nullptr;
+  std::vector<TraceRecord>* sink_ = nullptr;
   int shard_ = -1;
+  std::string line_;  ///< stream mode: render buffer reused across writes
 };
 
 /// Serializes one record to its JSONL line (no trailing newline).
 std::string to_json_line(const TraceRecord& record);
 
-/// Parses one JSONL line; throws resched::Error on schema violations.
+/// Parses one JSONL line; throws resched::Error on schema violations,
+/// including an integer field (shard, seq, job, task, procs) that is
+/// fractional, non-numeric or out of its type's range.
 TraceRecord parse_trace_line(const std::string& line);
 
 /// Reads a whole trace (empty lines are skipped).

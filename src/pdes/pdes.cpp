@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "src/core/tightest_deadline.hpp"
@@ -150,14 +149,15 @@ PdesResult PdesReplayEngine::run(SubmissionSource& source) {
   scfg.service = config_.service;
   service_ = std::make_unique<shard::ShardedService>(scfg);
 
-  std::vector<std::ostringstream> streams;
+  // One record vector per shard, sized before any writer binds to it; only
+  // the worker advancing shard s ever appends to traces[s].
+  std::vector<std::vector<online::TraceRecord>> traces;
   std::vector<online::TraceWriter> writers;
   if (config_.capture_trace) {
-    streams.reserve(static_cast<std::size_t>(n));
+    traces.resize(static_cast<std::size_t>(n));
     writers.reserve(static_cast<std::size_t>(n));
     for (int s = 0; s < n; ++s) {
-      streams.emplace_back();
-      writers.emplace_back(streams.back(), s);
+      writers.emplace_back(traces[static_cast<std::size_t>(s)], s);
       service_->engine(s).set_trace(&writers.back());
     }
   }
@@ -252,14 +252,8 @@ PdesResult PdesReplayEngine::run(SubmissionSource& source) {
       result.chaos.push_back(
           repairs_[static_cast<std::size_t>(s)]->counters());
   if (config_.capture_trace) {
-    std::vector<std::vector<online::TraceRecord>> per_shard;
-    per_shard.reserve(static_cast<std::size_t>(n));
-    for (int s = 0; s < n; ++s) {
-      service_->engine(s).set_trace(nullptr);
-      std::istringstream in(streams[static_cast<std::size_t>(s)].str());
-      per_shard.push_back(online::read_trace(in));
-    }
-    result.trace = online::merge_traces(std::move(per_shard));
+    for (int s = 0; s < n; ++s) service_->engine(s).set_trace(nullptr);
+    result.trace = online::merge_traces(std::move(traces));
   }
   return result;
 }
@@ -279,14 +273,13 @@ PdesResult serial_replay(const PdesConfig& config, SubmissionSource& source) {
         config.service, *calendars[static_cast<std::size_t>(s)]));
   }
 
-  std::vector<std::ostringstream> streams;
+  std::vector<std::vector<online::TraceRecord>> traces;
   std::vector<online::TraceWriter> writers;
   if (config.capture_trace) {
-    streams.reserve(static_cast<std::size_t>(n));
+    traces.resize(static_cast<std::size_t>(n));
     writers.reserve(static_cast<std::size_t>(n));
     for (int s = 0; s < n; ++s) {
-      streams.emplace_back();
-      writers.emplace_back(streams.back(), s);
+      writers.emplace_back(traces[static_cast<std::size_t>(s)], s);
       engines[static_cast<std::size_t>(s)]->set_trace(&writers.back());
     }
   }
@@ -365,14 +358,9 @@ PdesResult serial_replay(const PdesConfig& config, SubmissionSource& source) {
     for (int s = 0; s < n; ++s)
       result.chaos.push_back(repairs[static_cast<std::size_t>(s)]->counters());
   if (config.capture_trace) {
-    std::vector<std::vector<online::TraceRecord>> per_shard;
-    per_shard.reserve(static_cast<std::size_t>(n));
-    for (int s = 0; s < n; ++s) {
+    for (int s = 0; s < n; ++s)
       engines[static_cast<std::size_t>(s)]->set_trace(nullptr);
-      std::istringstream in(streams[static_cast<std::size_t>(s)].str());
-      per_shard.push_back(online::read_trace(in));
-    }
-    result.trace = online::merge_traces(std::move(per_shard));
+    result.trace = online::merge_traces(std::move(traces));
   }
   return result;
 }

@@ -26,9 +26,10 @@
 //     queue depths + calendars), chaos streams are seeded per shard
 //     (ft::shard_injector_config) and generated serially between barriers,
 //     and each engine is single-threaded within its shard. Per-shard
-//     traces are tagged and merged under the (time, shard, seq) total
-//     order — the merged JSONL trace and all final metrics are
-//     byte-identical at every worker count, including 1.
+//     traces are captured in memory as shard-tagged records (no JSONL
+//     round trip) and merged under the (time, shard, seq) total order —
+//     the merged trace and all final metrics are byte-identical at every
+//     worker count, including 1.
 //   * Blind routing hook: deadline jobs optionally probe candidate shards
 //     through the metered resv::BatchScheduler facade (the paper's §3.2.2
 //     opaque batch-scheduler model): one earliest-fit probe per task
@@ -178,9 +179,6 @@ class PdesReplayEngine {
   const shard::ShardedService& service() const;
 
  private:
-  int route_target(const online::JobSubmission& job, double wstart,
-                   PdesStats& stats);
-
   PdesConfig config_;
   std::unique_ptr<shard::ShardedService> service_;
   std::vector<std::unique_ptr<ft::RepairEngine>> repairs_;

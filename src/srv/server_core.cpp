@@ -56,10 +56,8 @@ ServerCore::ServerCore(ServerCoreConfig config) : config_(std::move(config)) {
   };
   if (config_.shards == 1) {
     single_ = std::make_unique<online::SchedulerService>(config_.service);
-    auto stream = std::make_unique<std::ostringstream>();
-    trace_writers_.push_back(std::make_unique<online::TraceWriter>(*stream));
-    trace_streams_.push_back(std::move(stream));
-    single_->set_trace(trace_writers_[0].get());
+    trace_writers_.emplace_back(trace_text_);
+    single_->set_trace(&trace_writers_[0]);
     single_->set_wal_hook(hook);
   } else {
     shard::ShardedConfig sc;
@@ -68,13 +66,12 @@ ServerCore::ServerCore(ServerCoreConfig config) : config_(std::move(config)) {
     sc.service = config_.service;
     sc.routing = config_.routing;
     sharded_ = std::make_unique<shard::ShardedService>(sc);
-    for (int s = 0; s < config_.shards; ++s) {
-      auto stream = std::make_unique<std::ostringstream>();
-      trace_writers_.push_back(
-          std::make_unique<online::TraceWriter>(*stream, s));
-      trace_streams_.push_back(std::move(stream));
-      sharded_->engine(s).set_trace(trace_writers_[static_cast<std::size_t>(s)]
-                                        .get());
+    const auto n = static_cast<std::size_t>(config_.shards);
+    shard_traces_.resize(n);
+    trace_writers_.reserve(n);
+    for (std::size_t s = 0; s < n; ++s) {
+      trace_writers_.emplace_back(shard_traces_[s], static_cast<int>(s));
+      sharded_->engine(static_cast<int>(s)).set_trace(&trace_writers_[s]);
     }
     sharded_->set_wal_hook(hook);
   }
@@ -189,7 +186,7 @@ void ServerCore::write_snapshot() {
     }
     // The full JSONL trace so far: the recovered daemon keeps appending to
     // it, and finalize() writes the seamless whole.
-    put_string(out, trace_streams_[0]->str());
+    put_string(out, trace_text_.str());
     ft::save_checkpoint(out, *single_);
     RESCHED_CHECK(out.good(), "srv: snapshot write failed");
   }
@@ -236,7 +233,7 @@ void ServerCore::load_snapshot(std::istream& in) {
     if (get_bool(in)) record.dag = get_dag(in);
     jobs_.emplace(client_id, std::move(record));
   }
-  *trace_streams_[0] << get_string(in);
+  trace_text_ << get_string(in);
   ft::load_checkpoint(in, *single_);
 }
 
@@ -614,16 +611,10 @@ void ServerCore::finalize() {
                       std::ios::binary | std::ios::trunc);
     RESCHED_CHECK(out.good(), "srv: cannot write trace.jsonl");
     if (single_) {
-      out << trace_streams_[0]->str();
+      out << trace_text_.str();
     } else {
-      std::vector<std::vector<online::TraceRecord>> per_shard;
-      per_shard.reserve(trace_streams_.size());
-      for (const auto& stream : trace_streams_) {
-        std::istringstream in(stream->str());
-        per_shard.push_back(online::read_trace(in));
-      }
       for (const online::TraceRecord& record :
-           online::merge_traces(std::move(per_shard)))
+           online::merge_traces(shard_traces_))
         out << online::to_json_line(record) << '\n';
     }
     RESCHED_CHECK(out.good(), "srv: trace.jsonl write failed");

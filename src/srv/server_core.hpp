@@ -177,10 +177,13 @@ class ServerCore {
   std::unique_ptr<online::SchedulerService> single_;
   std::unique_ptr<shard::ShardedService> sharded_;
 
-  /// JSONL trace of every engine decision/event, accumulated in memory
-  /// (single: one stream; sharded: one per shard, merged in finalize()).
-  std::vector<std::unique_ptr<std::ostringstream>> trace_streams_;
-  std::vector<std::unique_ptr<online::TraceWriter>> trace_writers_;
+  /// Trace of every engine decision/event, accumulated in memory. Single
+  /// mode keeps the JSONL text (snapshots embed it); sharded mode keeps
+  /// each shard's records and formats their merge once, in finalize().
+  /// Both containers are sized before a writer binds to them.
+  std::ostringstream trace_text_;
+  std::vector<std::vector<online::TraceRecord>> shard_traces_;
+  std::vector<online::TraceWriter> trace_writers_;
 
   std::map<int, JobRecord> jobs_;  ///< client job id -> record
   int next_internal_ = 0;

@@ -192,16 +192,14 @@ TEST(PdesDifferential, OneShardWideWindowMatchesPlainEngine) {
   pdes::PdesReplayEngine engine(config);
   const pdes::PdesResult got = engine.run(source);
 
-  std::ostringstream stream;
-  online::TraceWriter writer(stream, 0);
+  std::vector<online::TraceRecord> want;
+  online::TraceWriter writer(want, 0);
   online::SchedulerService plain(config.service);
   plain.set_trace(&writer);
   for (online::JobSubmission& job : online::submissions_from_log(log, spec))
     plain.submit(std::move(job));
   plain.run_until(got.stats.horizon);
   plain.set_trace(nullptr);
-  std::istringstream in(stream.str());
-  const std::vector<online::TraceRecord> want = online::read_trace(in);
 
   ASSERT_EQ(got.trace.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i)

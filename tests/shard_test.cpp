@@ -322,11 +322,12 @@ std::string merged_trace_of_run(int shards, int threads,
   config.threads = threads;
   config.service = shard_config(16);
   ShardedService svc(config);
-  std::vector<std::ostringstream> outs(static_cast<std::size_t>(shards));
+  std::vector<std::vector<TraceRecord>> per_shard(
+      static_cast<std::size_t>(shards));
   std::vector<TraceWriter> writers;
   writers.reserve(static_cast<std::size_t>(shards));
   for (int s = 0; s < shards; ++s) {
-    writers.emplace_back(outs[static_cast<std::size_t>(s)], s);
+    writers.emplace_back(per_shard[static_cast<std::size_t>(s)], s);
     svc.engine(s).set_trace(&writers.back());
   }
   for (const JobSubmission& sub : stream) svc.submit(sub);
@@ -334,11 +335,6 @@ std::string merged_trace_of_run(int shards, int threads,
   svc.submit_reservation(0.0, {3600.0, 9000.0, 4});
   svc.run_all();
 
-  std::vector<std::vector<TraceRecord>> per_shard;
-  for (int s = 0; s < shards; ++s) {
-    std::istringstream in(outs[static_cast<std::size_t>(s)].str());
-    per_shard.push_back(online::read_trace(in));
-  }
   std::ostringstream merged;
   for (const TraceRecord& r : online::merge_traces(std::move(per_shard)))
     merged << online::to_json_line(r) << '\n';
