@@ -1,28 +1,17 @@
-// Hot-path memory-layout and kernel benches (google-benchmark): the
-// perf-CI gate for the arena/SoA/batched-fit work (DESIGN.md §11) and the
-// SIMD kernel layer (DESIGN.md §13).
+// Hot-path memory-layout benches (google-benchmark): the perf-CI gate for
+// the arena/SoA/batched-fit work (DESIGN.md §11).
 //
 // The measurements and their gates in scripts/check_bench_regression.py:
 //
-//  * BM_FitFlat / BM_FitTreap — ns per fit query with the small-profile
-//    flat fast path forced on vs forced off, across profile sizes. This is
-//    the crossover sweep that pins kDefaultSmallProfileCrossover in
-//    src/resv/profile.cpp; the SPEEDUP_PAIRS entry asserts the flat scan
-//    still beats the treap on small calendars.
-//  * BM_BlSweepScalar / BM_BlSweepSimd — the bottom-level wavefront sweep
-//    over a dense layered DAG (the gather-heavy shape the kernels target),
-//    pinned to the scalar table vs the best compiled-in SIMD table. The
-//    SPEEDUP_PAIRS entry asserts the SIMD sweep keeps a >= 1.3x edge
-//    within the same run; the SIMD leg also exports the kernel layer's obs
-//    counters (kernels.dispatch.<isa>, kernels.bl_sweep_ns) so the
-//    baseline records which table perf CI actually measured.
+//  * BM_FitTreap — ns per fit query across profile sizes: a recorded
+//    latency series of the calendar's one fit path (the treap), gated
+//    only by the per-benchmark regression factor.
 //  * BM_ResschedSweep — end-to-end RESSCHED (BL_CPAR/BD_CPAR) over a
 //    stream of 100-task DAGs against a 200-reservation competing calendar
 //    on a 128-proc machine (the Table 4 working point). Counters:
-//    jobs_per_sec (THROUGHPUT_BARS floor: 2x the pre-PR measurement of
-//    ~415 jobs/sec on the reference runner) and allocs_per_job (heap
-//    allocation count via the operator-new override below,
-//    COUNTER_CEILINGS gate).
+//    jobs_per_sec (THROUGHPUT_BARS floor: 650 jobs/sec) and
+//    allocs_per_job (heap allocation count via the operator-new override
+//    below, COUNTER_CEILINGS gate).
 //  * BM_DynamicSweep / BM_BlindSweep — the dynamic-arrivals and
 //    probe-limited variants of the same working point, with the same
 //    allocs_per_job ceiling treatment so the scratch-buffer discipline
@@ -36,9 +25,7 @@
 // The checked-in baseline bench/BENCH_hotpath.json is produced with:
 //   ./build/bench/bench_hotpath --benchmark_format=json
 //       --benchmark_min_time=0.5 > bench/BENCH_hotpath.json
-// (Release build; see README "Perf CI" for when re-pinning is legitimate —
-// in particular after a hardware change, since the baseline pins the
-// dispatched kernel ISA through the kernels.dispatch.<isa> counter.)
+// (Release build; see README "Perf CI" for when re-pinning is legitimate.)
 #include <benchmark/benchmark.h>
 
 // GCC pairs every `delete` in this translation unit against the malloc-
@@ -59,8 +46,6 @@
 #include "src/core/dynamic.hpp"
 #include "src/core/ressched.hpp"
 #include "src/dag/daggen.hpp"
-#include "src/kernels/kernels.hpp"
-#include "src/obs/obs.hpp"
 #include "src/resv/arena.hpp"
 #include "src/resv/batch_scheduler.hpp"
 #include "src/resv/profile.hpp"
@@ -128,33 +113,15 @@ dag::Dag make_dag(int n, std::uint64_t seed) {
   return dag::generate(spec, rng);
 }
 
-/// RAII crossover override so a bench leg can't leak its setting into the
-/// next one (google-benchmark interleaves registrations freely).
-class CrossoverGuard {
- public:
-  explicit CrossoverGuard(int breakpoints)
-      : saved_(resv::AvailabilityProfile::small_profile_crossover()) {
-    resv::AvailabilityProfile::set_small_profile_crossover(breakpoints);
-  }
-  ~CrossoverGuard() {
-    resv::AvailabilityProfile::set_small_profile_crossover(saved_);
-  }
-
- private:
-  int saved_;
-};
-
-// -- ns per fit query: flat snapshot vs treap, across calendar sizes -----
+// -- ns per fit query across calendar sizes -----------------------------
 //
 // Arg = reservation count; a calendar of R reservations has ~2R
-// breakpoints (the "breakpoints" counter reports the exact figure, which
-// is what small_profile_crossover() is denominated in). The query mix
-// matches the RESSCHED inner loop: mostly earliest_fit at varied procs and
-// not_before, with latest_fit sprinkled in for the deadline paths.
+// breakpoints (the "breakpoints" counter reports the exact figure). The
+// query mix matches the RESSCHED inner loop: mostly earliest_fit at varied
+// procs and not_before, with latest_fit sprinkled in for the deadline
+// paths.
 
-template <bool kFlat>
-void fit_query_loop(benchmark::State& state) {
-  CrossoverGuard guard(kFlat ? (1 << 30) : 0);
+void BM_FitTreap(benchmark::State& state) {
   auto profile =
       make_profile(kProcs, static_cast<int>(state.range(0)), 0xF17);
   const int procs_cycle[] = {kProcs / 8, kProcs / 4, kProcs / 2, kProcs};
@@ -174,79 +141,7 @@ void fit_query_loop(benchmark::State& state) {
   state.counters["breakpoints"] =
       static_cast<double>(profile.breakpoints().size());
 }
-
-void BM_FitFlat(benchmark::State& state) { fit_query_loop<true>(state); }
-void BM_FitTreap(benchmark::State& state) { fit_query_loop<false>(state); }
-BENCHMARK(BM_FitFlat)->RangeMultiplier(2)->Range(4, 256);
 BENCHMARK(BM_FitTreap)->RangeMultiplier(2)->Range(4, 256);
-
-// -- bottom-level wavefront sweep: scalar table vs best SIMD table -------
-//
-// A dense layered DAG (full bipartite edges between adjacent layers) is
-// the shape the gather kernels target: wide wavefronts, many predecessors
-// per task. daggen instances average 2-3 edges per task — too sparse to
-// exercise the vector gathers — so the pair is measured on the dense
-// family and the end-to-end effect on paper-shaped DAGs shows up in the
-// BM_ResschedSweep jobs_per_sec floor instead.
-
-dag::Dag make_dense_dag(int layers, int wide, std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<dag::TaskCost> costs;
-  std::vector<std::pair<int, int>> edges;
-  for (int v = 0; v < layers * wide; ++v)
-    costs.push_back({rng.uniform(60.0, 36000.0), rng.uniform(0.0, 0.3)});
-  for (int l = 0; l + 1 < layers; ++l)
-    for (int a = 0; a < wide; ++a)
-      for (int b = 0; b < wide; ++b)
-        edges.emplace_back(l * wide + a, (l + 1) * wide + b);
-  return dag::Dag(std::move(costs), edges);
-}
-
-template <bool kSimd>
-void bl_sweep_loop(benchmark::State& state) {
-  kernels::ScopedIsa pin(kSimd ? kernels::best_supported_isa()
-                               : kernels::Isa::kScalar);
-  auto d = make_dense_dag(32, 32, 0xB5);
-  util::Rng rng(0xB6);
-  std::vector<int> alloc(static_cast<std::size_t>(d.size()));
-  for (int& a : alloc) a = static_cast<int>(rng.uniform_int(1, kProcs / 2));
-  std::vector<double> exec;
-  dag::exec_times_into(d, alloc, exec);
-  std::vector<double> bl;
-  for (auto _ : state) {
-    dag::bottom_levels_into(d, exec, bl);
-    benchmark::DoNotOptimize(bl.data());
-    benchmark::ClobberMemory();
-  }
-  state.counters["tasks"] = static_cast<double>(d.size());
-}
-
-void BM_BlSweepScalar(benchmark::State& state) { bl_sweep_loop<false>(state); }
-
-void BM_BlSweepSimd(benchmark::State& state) {
-#if !defined(RESCHED_OBS_DISABLED)
-  obs::registry().reset();
-  obs::set_metrics_enabled(true);
-#endif
-  bl_sweep_loop<true>(state);
-#if !defined(RESCHED_OBS_DISABLED)
-  obs::set_metrics_enabled(false);
-  // Export the kernel layer's own observability so the checked-in baseline
-  // records which table this runner dispatched to (the regression script's
-  // counter-presence rule then flags a baseline/runner ISA mismatch — see
-  // README "Perf CI" on re-pinning after a hardware change).
-  auto snap = obs::registry().snapshot();
-  for (const auto& c : snap.counters)
-    if (c.name.rfind("kernels.dispatch.", 0) == 0)
-      state.counters[c.name] = static_cast<double>(c.value);
-  for (const auto& h : snap.histograms)
-    if (h.name == "kernels.bl_sweep_ns" && h.count > 0)
-      state.counters[h.name] =
-          static_cast<double>(h.sum) / static_cast<double>(h.count);
-#endif
-}
-BENCHMARK(BM_BlSweepScalar);
-BENCHMARK(BM_BlSweepSimd);
 
 // -- end-to-end RESSCHED sweep at the Table 4 working point --------------
 

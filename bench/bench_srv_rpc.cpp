@@ -14,11 +14,8 @@
 //     RPCs/sec acceptance bar (a THROUGHPUT_BARS entry in
 //     scripts/check_bench_regression.py);
 //   * BM_SubmitPipelinedDeadline/N — the same pipelined burst but every
-//     submit carries a deadline, so each admission runs the deadline
-//     feasibility pass. The batched drain (ServerCore::apply_batch)
-//     precomputes the whole burst's admission floors through ONE calendar
-//     snapshot + one batched fit pass instead of a per-job snapshot
-//     rebuild after every committed admission — this leg pins that gain;
+//     submit carries a deadline, so each admission runs the finish-floor
+//     check against the live calendar and the deadline feasibility pass;
 //   * BM_StatusRpc/1        — read-only round-trip (no WAL record, no
 //     engine mutation): the protocol + socket overhead baseline.
 //
@@ -205,10 +202,9 @@ void BM_SubmitPipelined(benchmark::State& state) {
 
 // Deadline-burst pipelining: every submit in the burst carries a (loose,
 // always feasible) deadline, forcing the admission floor + backward-pass
-// machinery on each job. Without batching, every accepted admission dirties
-// the calendar and the next job's floor check pays a full snapshot rebuild;
-// the batched drain computes all 64 floors against one frozen snapshot and
-// arms them as engine hints (byte-identical outcomes, fewer rebuilds).
+// machinery on each job. Each admission's floor check queries the live
+// calendar; the batched drain shares one WAL flush and one send across the
+// burst, so this leg measures deadline admission cost under pipelining.
 void BM_SubmitPipelinedDeadline(benchmark::State& state) {
   const int clients = static_cast<int>(state.range(0));
   Daemon d;

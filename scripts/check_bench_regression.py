@@ -33,19 +33,11 @@ Current pairs / bars / ceilings:
     worker count, so only wall-clock may move);
   * reschedd RPC     — pipelined submits over a unix socket sustain
     >= 10k RPCs/sec with a durable WAL (DESIGN.md §10 acceptance bar);
-  * hot-path layout  — the small-profile flat scan beats the treap at the
-    128-breakpoint crossover; the RESSCHED sweep at Table-4 scale sustains
-    >= 650 jobs/sec (raised from 565 after the SIMD kernel layer); heap
-    allocations per job stay under the ceilings on the static, dynamic and
-    blind scheduling paths, and the treap-node arena performs zero chunk
-    allocations in steady-state churn (DESIGN.md §11 acceptance bars);
-  * SIMD kernels     — the dispatched bottom-level wavefront sweep beats
-    the scalar table by >= 1.3x on the dense layered DAG within the same
-    run (DESIGN.md §13 acceptance bar). The SIMD leg exports the kernel
-    layer's obs counters (kernels.dispatch.<isa>, kernels.bl_sweep_ns);
-    the counter-presence rule therefore also fails the gate when the
-    runner dispatches a different ISA than the one the baseline was
-    pinned on (re-pin on new hardware, see README "Perf CI").
+  * hot-path layout  — the RESSCHED sweep at Table-4 scale sustains
+    >= 650 jobs/sec; heap allocations per job stay under the ceilings on
+    the static, dynamic and blind scheduling paths, and the treap-node
+    arena performs zero chunk allocations in steady-state churn
+    (DESIGN.md §11 acceptance bars).
 
 --self-test runs the checker against synthetic in-memory fixtures and
 exits 0 iff every failure mode actually fails (wired into the lint CI
@@ -64,10 +56,6 @@ SPEEDUP_PAIRS = [
      "4-shard replay speedup over 1 shard"),
     ("BM_PdesReplay/1/real_time", "BM_PdesReplay/4/real_time", 2.0,
      "PDES windowed replay speedup at 4 workers over 1"),
-    ("BM_FitTreap/64", "BM_FitFlat/64", 1.05,
-     "small-profile flat fast path at the 128-breakpoint crossover"),
-    ("BM_BlSweepScalar", "BM_BlSweepSimd", 1.3,
-     "SIMD bottom-level wavefront sweep over the scalar table"),
 ]
 
 # (benchmark, counter, required minimum counter value, label)
@@ -75,7 +63,7 @@ THROUGHPUT_BARS = [
     ("BM_SubmitPipelined/8/real_time", "rpc_per_sec", 10000.0,
      "reschedd pipelined submit throughput (DESIGN.md §10 bar)"),
     ("BM_ResschedSweep", "jobs_per_sec", 650.0,
-     "RESSCHED sweep at Table-4 scale (raised from 565 by the SIMD kernels)"),
+     "RESSCHED sweep at Table-4 scale (DESIGN.md §11 bar)"),
 ]
 
 # (benchmark, counter, maximum allowed counter value, label)
@@ -203,15 +191,22 @@ def self_test():
         bench("BM_SubmitPipelined/8/real_time", 100.0, rpc_per_sec=20000.0),
         bench("BM_ResschedSweep", 100.0, jobs_per_sec=800.0,
               allocs_per_job=13.0),
+        bench("linear_earliest_fit/10000", 1000.0),
+        bench("indexed_earliest_fit/10000", 100.0),
     ]})
     good = parse({"benchmarks": [
         bench("BM_X/1", 110.0, widgets_per_sec=48.0),
         bench("BM_SubmitPipelined/8/real_time", 90.0, rpc_per_sec=15000.0),
         bench("BM_ResschedSweep", 95.0, jobs_per_sec=700.0,
               allocs_per_job=15.0),
+        bench("linear_earliest_fit/10000", 1100.0),
+        bench("indexed_earliest_fit/10000", 110.0),
     ]})
 
-    cases = []  # (label, baseline, current, expect_failure)
+    # (label, baseline, current, expect): expect is False (must pass), True
+    # (must fail), or a string one of the failure lines must contain, for
+    # failure modes that a more generic rule would otherwise mask.
+    cases = []
     cases.append(("healthy run passes", base, good, False))
     cases.append(("empty baseline fails", parse({"benchmarks": []}),
                   good, True))
@@ -238,16 +233,37 @@ def self_test():
     over_ceiling["BM_ResschedSweep"]["counters"]["allocs_per_job"] = 500.0
     cases.append(("counter above the ceiling fails", base, over_ceiling,
                   True))
+    # Both pair benchmarks stay within the 2x factor of their baselines, so
+    # only the within-run speedup bar can fail these.
+    below_pair = {name: dict(value) for name, value in good.items()}
+    below_pair["linear_earliest_fit/10000"] = {"real_time": 600.0,
+                                               "counters": {}}
+    below_pair["indexed_earliest_fit/10000"] = {"real_time": 180.0,
+                                                "counters": {}}
+    cases.append(("pair below its bar fails", base, below_pair,
+                  "below the 5.0x bar"))
+    missing_pair = {name: value for name, value in good.items()
+                    if name != "indexed_earliest_fit/10000"}
+    cases.append(("pair benchmark missing from the current run fails", base,
+                  missing_pair,
+                  "linear oracle at 10k: benchmarks missing from the"
+                  " current run"))
 
     broken = 0
-    for label, b, c, expect_failure in cases:
+    for label, b, c, expect in cases:
         _, failures = compare(b, c, factor=2.0)
-        failed = bool(failures)
-        verdict = "ok" if failed == expect_failure else "SELF-TEST BROKEN"
-        if failed != expect_failure:
+        if isinstance(expect, str):
+            matched = [f for f in failures if expect in f]
+            behaved = bool(matched)
+            shown = matched or failures
+        else:
+            behaved = bool(failures) == expect
+            shown = failures
+        verdict = "ok" if behaved else "SELF-TEST BROKEN"
+        if not behaved:
             broken += 1
         print(f"{verdict:16} {label}"
-              + (f" ({failures[0]})" if failures else ""))
+              + (f" ({shown[0]})" if shown else ""))
     if broken:
         print(f"\nself-test FAILED: {broken} case(s) misbehaved",
               file=sys.stderr)

@@ -22,7 +22,7 @@ void finish_floor_queries(const dag::Dag& dag, int capacity, double now,
 }
 
 double evaluate_finish_floor(std::span<const resv::FitQuery> queries,
-                             const resv::CalendarSnapshot& calendar,
+                             const resv::AvailabilityProfile& calendar,
                              double now) {
   double floor = now;
   for (const resv::FitQuery& q : queries) {
@@ -33,32 +33,13 @@ double evaluate_finish_floor(std::span<const resv::FitQuery> queries,
   return floor;
 }
 
-double finish_floor_from_fits(std::span<const resv::FitQuery> queries,
-                              std::span<const std::optional<double>> fits,
-                              double now) {
-  RESCHED_ASSERT(queries.size() == fits.size(),
-                 "one resolved fit per floor query");
-  double floor = now;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    RESCHED_ASSERT(fits[i].has_value(), "1-processor fit must always exist");
-    floor = std::max(floor, *fits[i] + queries[i].duration);
-  }
-  return floor;
-}
-
 double earliest_finish_floor(const dag::Dag& dag,
                              const resv::AvailabilityProfile& competing,
                              double now) {
   OBS_SPAN("core.tightest.finish_floor");
   std::vector<resv::FitQuery> queries;
   finish_floor_queries(dag, competing.capacity(), now, queries);
-  auto fits = competing.fit_many(queries);
-  double floor = now;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    RESCHED_ASSERT(fits[i].has_value(), "1-processor fit must always exist");
-    floor = std::max(floor, *fits[i] + queries[i].duration);
-  }
-  return floor;
+  return evaluate_finish_floor(queries, competing, now);
 }
 
 TightestDeadlineResult tightest_deadline(

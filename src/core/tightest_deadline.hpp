@@ -7,13 +7,13 @@
 // brackets a feasible K, and bisection narrows the bracket to tolerance.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "src/core/resscheddl.hpp"
 #include "src/core/ressched.hpp"
-#include "src/resv/snapshot.hpp"
+#include "src/resv/fit_query.hpp"
+#include "src/resv/profile.hpp"
 
 namespace resched::core {
 
@@ -34,7 +34,7 @@ struct TightestDeadlineResult {
 /// least its fastest execution time, and earliest_fit is monotone in the
 /// duration — so each task finishes at or after the earliest 1-processor
 /// window of that fastest time, and no deadline below the latest such
-/// finish can be met. One batched earliest-fit query per task (fit_many).
+/// finish can be met. One earliest-fit query per task.
 double earliest_finish_floor(const dag::Dag& dag,
                              const resv::AvailabilityProfile& competing,
                              double now);
@@ -47,22 +47,11 @@ double earliest_finish_floor(const dag::Dag& dag,
 void finish_floor_queries(const dag::Dag& dag, int capacity, double now,
                           std::vector<resv::FitQuery>& queries);
 
-/// Floor value of prebuilt finish_floor_queries against one frozen
-/// calendar; byte-identical to earliest_finish_floor on the snapshot's
-/// source profile. The snapshot must be fresh (refresh() it first).
+/// Floor value of prebuilt finish_floor_queries against one calendar;
+/// earliest_finish_floor is finish_floor_queries plus this call.
 double evaluate_finish_floor(std::span<const resv::FitQuery> queries,
-                             const resv::CalendarSnapshot& calendar,
+                             const resv::AvailabilityProfile& calendar,
                              double now);
-
-/// Floor arithmetic over already-resolved fits: fits[i] must be the
-/// earliest-fit answer for queries[i] (any evaluation route — snapshot
-/// fit_many_into, profile fit_many, or a blind batch-scheduler probe).
-/// Lets a batched caller resolve the concatenated queries of many jobs in
-/// one pass and evaluate each job's slice separately; identical doubles
-/// to evaluate_finish_floor on the same fits.
-double finish_floor_from_fits(std::span<const resv::FitQuery> queries,
-                              std::span<const std::optional<double>> fits,
-                              double now);
 
 /// Finds the tightest deadline `params.algo` can meet at time `now`.
 TightestDeadlineResult tightest_deadline(

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <numeric>
 
+#include "src/obs/obs.hpp"
 #include "src/util/error.hpp"
 
 namespace resched::dag {
@@ -90,19 +91,6 @@ Dag::Dag(std::vector<TaskCost> costs,
   for (int lvl : levels_) ++width[static_cast<std::size_t>(lvl)];
   max_width_ = *std::max_element(width.begin(), width.end());
 
-  // Level buckets (counting sort over the topological order, so each
-  // bucket lists its tasks in topo order): the wavefronts of the
-  // level-synchronous kernel sweeps.
-  level_off_.assign(static_cast<std::size_t>(num_levels_) + 1, 0);
-  for (int lvl : levels_) ++level_off_[static_cast<std::size_t>(lvl) + 1];
-  std::partial_sum(level_off_.begin(), level_off_.end(), level_off_.begin());
-  level_order_.resize(static_cast<std::size_t>(n));
-  std::vector<int> level_cursor(level_off_.begin(), level_off_.end() - 1);
-  for (int v : topo_)
-    level_order_[static_cast<std::size_t>(
-        level_cursor[static_cast<std::size_t>(
-            levels_[static_cast<std::size_t>(v)])]++)] = v;
-
   // SoA mirrors of the cost parameters for the streaming sweeps.
   seq_times_.resize(static_cast<std::size_t>(n));
   alphas_.resize(static_cast<std::size_t>(n));
@@ -124,34 +112,54 @@ void exec_times_into(const Dag& dag, std::span<const int> alloc,
   for (std::size_t v = 0; v < alloc.size(); ++v)
     RESCHED_CHECK(alloc[v] >= 1, "task needs at least one processor");
   exec.resize(alloc.size());
-  // Expression-for-expression dag::exec_time, streamed off the SoA arrays
-  // by the dispatched kernel (byte-identical at every ISA level).
-  kernels::exec_times(dag.seq_times().data(), dag.alphas().data(),
-                      alloc.data(), alloc.size(), exec.data());
+  // Expression-for-expression dag::exec_time, streamed off the SoA arrays.
+  const std::span<const double> seq = dag.seq_times();
+  const std::span<const double> alpha = dag.alphas();
+  for (std::size_t v = 0; v < alloc.size(); ++v)
+    exec[v] =
+        seq[v] * (alpha[v] + (1.0 - alpha[v]) / static_cast<double>(alloc[v]));
 }
 
 void bottom_levels_into(const Dag& dag, std::span<const double> exec,
                         std::vector<double>& bl) {
   RESCHED_CHECK(static_cast<int>(exec.size()) == dag.size(),
                 "exec-time vector size must match DAG size");
-  bl.resize(exec.size());
-  kernels::bl_sweep(dag.kernel_view(), exec.data(), bl.data());
+  bl.resize(exec.size());  // same size when exec views bl: no reallocation
+  // The phase keeps its kernels.* name because perfbench reports it as
+  // sweep.bl_kernel_us.
+  OBS_PHASE("kernels.bl_sweep_ns");
+  const int* off = dag.succ_off_.data();
+  const int* succ = dag.succ_flat_.data();
+  const double* ex = exec.data();
+  double* out = bl.data();
+  for (std::size_t r = dag.topo_.size(); r-- > 0;) {
+    const int v = dag.topo_[r];
+    double best = 0.0;
+    for (int e = off[v]; e < off[v + 1]; ++e)
+      best = std::max(best, out[succ[e]]);
+    out[v] = ex[v] + best;
+  }
 }
 
 void bottom_levels_into(const Dag& dag, std::span<const int> alloc,
                         std::vector<double>& bl) {
   exec_times_into(dag, alloc, bl);
-  // In-place: the sweep consumes each task's exec entry exactly when it
-  // produces its bottom level (kernels.hpp documents the aliasing).
-  kernels::bl_sweep(dag.kernel_view(), bl.data(), bl.data());
+  bottom_levels_into(dag, bl, bl);
 }
 
 void top_levels_into(const Dag& dag, std::span<const double> exec,
                      std::vector<double>& tl) {
   RESCHED_CHECK(static_cast<int>(exec.size()) == dag.size(),
                 "exec-time vector size must match DAG size");
-  tl.resize(exec.size());
-  kernels::tl_sweep(dag.kernel_view(), exec.data(), tl.data());
+  tl.assign(exec.size(), 0.0);
+  // Forward push: tl[s] = max over predecessors q of (tl[q] + exec[q]).
+  const int* off = dag.succ_off_.data();
+  const int* succ = dag.succ_flat_.data();
+  const double* ex = exec.data();
+  double* out = tl.data();
+  for (int v : dag.topo_)
+    for (int e = off[v]; e < off[v + 1]; ++e)
+      out[succ[e]] = std::max(out[succ[e]], out[v] + ex[v]);
 }
 
 std::vector<double> bottom_levels(const Dag& dag, std::span<const int> alloc) {

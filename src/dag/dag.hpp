@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "src/dag/task_model.hpp"
-#include "src/kernels/kernels.hpp"
 
 namespace resched::dag {
 
@@ -69,30 +68,14 @@ class Dag {
   /// width used by the improved CPA stopping criterion.
   int max_width() const { return max_width_; }
 
-  /// Tasks bucketed by level: level l's tasks are
-  /// level_order()[level_offsets()[l], level_offsets()[l + 1]), in
-  /// topological order within the bucket. These are the wavefronts of the
-  /// level-synchronous kernel sweeps.
-  std::span<const int> level_order() const { return level_order_; }
-  std::span<const int> level_offsets() const { return level_off_; }
-
-  /// Raw-pointer view of the SoA/CSR arrays for the kernel library; valid
-  /// for this Dag's lifetime.
-  kernels::DagView kernel_view() const {
-    kernels::DagView view;
-    view.n = static_cast<std::size_t>(size());
-    view.topo = topo_.data();
-    view.pred_off = pred_off_.data();
-    view.pred_flat = pred_flat_.data();
-    view.succ_off = succ_off_.data();
-    view.succ_flat = succ_flat_.data();
-    view.level_order = level_order_.data();
-    view.level_off = level_off_.data();
-    view.num_levels = static_cast<std::size_t>(num_levels_);
-    return view;
-  }
-
  private:
+  // The sweeps walk the CSR arrays directly, without successors()'s
+  // per-call bounds check.
+  friend void bottom_levels_into(const Dag& dag, std::span<const double> exec,
+                                 std::vector<double>& bl);
+  friend void top_levels_into(const Dag& dag, std::span<const double> exec,
+                              std::vector<double>& tl);
+
   std::size_t checked(int task) const;
 
   static std::span<const int> adjacency(const std::vector<int>& off,
@@ -116,10 +99,6 @@ class Dag {
   std::vector<int> entries_;
   std::vector<int> exits_;
   std::vector<int> levels_;
-  // Counting sort of the tasks by level, topo order within each bucket —
-  // the wavefronts consumed by the kernel sweeps.
-  std::vector<int> level_order_;
-  std::vector<int> level_off_;
   int num_levels_ = 0;
   int max_width_ = 0;
   int num_edges_ = 0;
@@ -134,7 +113,8 @@ void exec_times_into(const Dag& dag, std::span<const int> alloc,
 
 /// Bottom levels given precomputed per-task exec times (the reverse
 /// topological sweep only). `exec` must come from exec_times_into (or
-/// equivalent) for the same allocation.
+/// equivalent) for the same allocation. It may view `bl` itself: each
+/// task's exec entry is read exactly when its bottom level is written.
 void bottom_levels_into(const Dag& dag, std::span<const double> exec,
                         std::vector<double>& bl);
 

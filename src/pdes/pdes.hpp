@@ -58,7 +58,7 @@
 #include "src/online/service.hpp"
 #include "src/online/trace.hpp"
 #include "src/pdes/source.hpp"
-#include "src/resv/snapshot.hpp"
+#include "src/resv/fit_query.hpp"
 #include "src/shard/sharded_service.hpp"
 
 namespace resched::pdes {

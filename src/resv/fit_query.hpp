@@ -2,7 +2,7 @@
 // and the linear oracle.
 //
 // A FitQuery names one earliest-fit or latest-fit probe; fit_many() answers
-// a whole batch against a single calendar snapshot. Batching is how the
+// a whole batch against a single calendar. Batching is how the
 // RESSCHED allocation sweep (one probe per candidate processor count) and
 // the online admission pre-filter (one probe per task) talk to the
 // calendar: the call sites stay declarative and the profile is free to

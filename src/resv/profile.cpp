@@ -1,7 +1,6 @@
 #include "src/resv/profile.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -13,35 +12,10 @@ namespace resched::resv {
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
-
-// Default measured by bench_hotpath's BM_FitFlat/BM_FitTreap sweep
-// (DESIGN.md §11 records the numbers): the flat scan stays at or ahead of
-// the treap through ~256 breakpoints on pure queries, but each mutation
-// costs an O(n) snapshot rebuild on the next query, so the default sits a
-// binary order below the pure-query crossover. Overridable per-process for
-// tuning and for the legacy-path leg of the benchmarks.
-constexpr int kDefaultSmallProfileCrossover = 128;
-std::atomic<int> g_small_profile_crossover{kDefaultSmallProfileCrossover};
-
-// Epochs are handed out process-wide so every mutation event — on any
-// profile — gets a unique stamp, starting at 1 (0 is CalendarSnapshot's
-// "never refreshed").
-std::uint64_t next_epoch() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 }  // namespace
 
-int AvailabilityProfile::small_profile_crossover() {
-  return g_small_profile_crossover.load(std::memory_order_relaxed);
-}
-
-void AvailabilityProfile::set_small_profile_crossover(int breakpoints) {
-  g_small_profile_crossover.store(breakpoints, std::memory_order_relaxed);
-}
-
 AvailabilityProfile::AvailabilityProfile(int capacity)
-    : index_(capacity), capacity_(capacity), epoch_(next_epoch()) {
+    : index_(capacity), capacity_(capacity) {
   RESCHED_CHECK(capacity >= 1, "platform needs at least one processor");
 }
 
@@ -57,7 +31,6 @@ void AvailabilityProfile::add(const Reservation& r) {
   if (r.procs == 0) return;
   index_.range_add(r.start, r.end, -r.procs);
   ++reservation_count_;
-  epoch_ = next_epoch();
 }
 
 void AvailabilityProfile::release(const Reservation& r) {
@@ -70,7 +43,6 @@ void AvailabilityProfile::release(const Reservation& r) {
   index_.coalesce_at(r.end);
   index_.coalesce_at(r.start);
   --reservation_count_;
-  epoch_ = next_epoch();
 }
 
 AvailabilityProfile::CommitToken AvailabilityProfile::commit(
@@ -105,32 +77,6 @@ void AvailabilityProfile::rollback(CommitToken& token) {
 
 void AvailabilityProfile::compact(double horizon) {
   index_.compact(horizon);
-  epoch_ = next_epoch();
-}
-
-bool AvailabilityProfile::use_flat() const {
-  int crossover = small_profile_crossover();
-  return crossover > 0 &&
-         index_.size() <= static_cast<std::size_t>(crossover);
-}
-
-const CalendarSnapshot& AvailabilityProfile::flat() const {
-  flat_.refresh(*this);
-  return flat_;
-}
-
-void AvailabilityProfile::flatten_into(std::vector<double>& keys,
-                                       std::vector<int>& values) const {
-  keys.clear();
-  values.clear();
-  keys.reserve(index_.size());
-  values.reserve(index_.size());
-  index_.for_each_segment(kNegInf, kPosInf,
-                          [&](double key, double next, int value) {
-                            (void)next;
-                            keys.push_back(key);
-                            values.push_back(value);
-                          });
 }
 
 int AvailabilityProfile::available_at(double t) const {
@@ -143,8 +89,7 @@ std::optional<double> AvailabilityProfile::earliest_fit(
   RESCHED_CHECK(duration > 0.0, "fit query needs positive duration");
   OBS_COUNT("resv.fit.earliest", 1);
   if (procs > capacity_) return std::nullopt;
-  auto fit = use_flat() ? flat().earliest_fit(procs, duration, not_before)
-                        : index_.earliest_fit(procs, duration, not_before);
+  auto fit = index_.earliest_fit(procs, duration, not_before);
   RESCHED_ASSERT(fit.has_value(),
                  "profile tail must be feasible for procs <= capacity");
   return fit;
@@ -159,8 +104,7 @@ std::optional<double> AvailabilityProfile::latest_fit(int procs,
   OBS_COUNT("resv.fit.latest", 1);
   if (procs > capacity_) return std::nullopt;
   if (deadline - duration < not_before) return std::nullopt;
-  return use_flat() ? flat().latest_fit(procs, duration, deadline, not_before)
-                    : index_.latest_fit(procs, duration, deadline, not_before);
+  return index_.latest_fit(procs, duration, deadline, not_before);
 }
 
 std::vector<std::optional<double>> AvailabilityProfile::fit_many(

@@ -20,14 +20,11 @@
 // oracle: both implementations return byte-identical fit results.
 // Over-subscribed instants (more reserved than capacity, possible when
 // synthetic transforms inject reservations) clamp to zero availability.
-// Below a measured crossover size the treap descent loses to a streaming
-// scan over flat arrays, so small profiles answer fit queries from an
-// internal CalendarSnapshot (rebuilt lazily, keyed on the profile's
-// mutation epoch) running the oracle's exact arithmetic — the answers stay
-// byte-identical on both sides of the crossover (DESIGN.md §11).
+//
+// Thread safety: const queries are safe from any number of threads while
+// nothing mutates the profile.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <utility>
@@ -35,7 +32,6 @@
 
 #include "src/resv/fit_query.hpp"
 #include "src/resv/reservation.hpp"
-#include "src/resv/snapshot.hpp"
 #include "src/resv/step_index.hpp"
 
 namespace resched::resv {
@@ -110,7 +106,7 @@ class AvailabilityProfile {
                                    double not_before) const;
 
   /// Batch form: answers queries[i] with the matching earliest_fit /
-  /// latest_fit against this calendar snapshot. Used by the RESSCHED
+  /// latest_fit against this calendar. Used by the RESSCHED
   /// allocation sweep (one query per candidate processor count) and the
   /// online admission pre-filter (one query per task).
   std::vector<std::optional<double>> fit_many(
@@ -120,25 +116,6 @@ class AvailabilityProfile {
   /// sweeps reuse capacity across batches instead of allocating per batch.
   void fit_many_into(std::span<const FitQuery> queries,
                      std::vector<std::optional<double>>& out) const;
-
-  /// Monotone stamp, globally unique per mutation event: changes on every
-  /// add/release/compact (and thus commit/rollback); copies inherit it.
-  /// Equal epochs imply identical step functions, which is what lets
-  /// CalendarSnapshot freshness checks skip any content comparison.
-  std::uint64_t epoch() const { return epoch_; }
-
-  /// Raw step-function segments — including breakpoints that repeat their
-  /// predecessor's value — flattened into parallel arrays (keys[0] is the
-  /// -infinity sentinel). Buffers are cleared first and keep their
-  /// capacity, so repeated flattening allocates nothing in steady state.
-  void flatten_into(std::vector<double>& keys, std::vector<int>& values) const;
-
-  /// Profiles with at most this many breakpoints (sentinel included)
-  /// answer fit queries from the flat snapshot instead of the treap; 0
-  /// disables the fast path. Process-wide; tuned by bench_hotpath
-  /// (DESIGN.md §11 records the measured crossover).
-  static int small_profile_crossover();
-  static void set_small_profile_crossover(int breakpoints);
 
   /// Time-average of available processors over [from, to), from < to.
   double average_available(double from, double to) const;
@@ -169,19 +146,9 @@ class AvailabilityProfile {
   std::vector<std::pair<double, int>> canonical_steps() const;
 
  private:
-  /// True when fit queries should take the flat-scan fast path.
-  bool use_flat() const;
-  /// Internal snapshot, refreshed if the profile mutated since last use.
-  /// Const queries may rebuild it — a profile, like before, may serve
-  /// concurrent readers only if no one mutates it AND the snapshot is warm
-  /// (in practice each calendar is owned by one engine/shard worker).
-  const CalendarSnapshot& flat() const;
-
   StepIndex index_;  // treap over the availability steps; -inf sentinel
   int capacity_;
   int reservation_count_ = 0;
-  std::uint64_t epoch_;
-  mutable CalendarSnapshot flat_;  // lazy; stays warm across clones
 };
 
 /// Historical average number of available processors q (paper §4.2,

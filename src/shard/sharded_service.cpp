@@ -26,12 +26,6 @@ struct ShardedService::Shard {
   // metrics additionally count rejected spillover probes).
   int spill_in = 0;
 
-  /// Frozen calendar for tier-1 floor probes. refresh() is an epoch
-  /// compare when the calendar hasn't changed since the last probe, so
-  /// consecutive jobs spilling over an idle shard scan the same arrays
-  /// with zero rebuild work.
-  resv::CalendarSnapshot floor_snapshot;
-
 #ifndef RESCHED_OBS_DISABLED
   /// advance_all() duration, written by the worker that advanced this
   /// shard and read by the router after the barrier — never concurrently.
@@ -333,7 +327,7 @@ void ShardedService::route_job(double t, online::JobSubmission job) {
 
   // Floor queries depend on the job, the (uniform) shard capacity, and t —
   // not on any calendar — so the spillover walk builds them once and
-  // evaluates them against each candidate's snapshot.
+  // evaluates them against each candidate's calendar.
   const bool use_floor = policy.floor_probe && job.deadline && limit > 1;
   if (use_floor)
     core::finish_floor_queries(job.dag, config_.service.capacity, t,
@@ -349,12 +343,10 @@ void ShardedService::route_job(double t, online::JobSubmission job) {
     // accept the request; spill without touching the engine. The last
     // candidate is always tried for real so a counter-offer / rejection
     // comes from an engine, never from the router's estimate.
-    if (!last && use_floor) {
-      sh.floor_snapshot.refresh(sh.calendar);
-      if (core::evaluate_finish_floor(floor_queries_, sh.floor_snapshot, t) >
-          *job.deadline)
-        continue;
-    }
+    if (!last && use_floor &&
+        core::evaluate_finish_floor(floor_queries_, sh.calendar, t) >
+            *job.deadline)
+      continue;
     // Tier 2 — real admission: submit and process synchronously. A
     // rejection rolls back through the engine's audited commit token, so
     // the shard's calendar is untouched and the next candidate sees a

@@ -208,7 +208,7 @@ class ShardedService {
   double now_;
   /// Tier-1 floor queries for the job being routed — built once per job
   /// (all shards share one capacity) and evaluated against each candidate
-  /// shard's calendar snapshot; buffer reused across jobs.
+  /// shard's calendar; buffer reused across jobs.
   std::vector<resv::FitQuery> floor_queries_;
 };
 

@@ -117,10 +117,10 @@ void Server::start() {
 }
 
 void Server::close_listener() {
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  const int fd = listen_fd_.exchange(-1);
+  if (fd >= 0) {
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
   }
 }
 
@@ -136,7 +136,7 @@ void Server::stop() {
 void Server::serve() {
   RESCHED_CHECK(listen_fd_ >= 0, "srv: serve() before start()");
   while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd_.load(), nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // listener closed by stop()
@@ -193,8 +193,7 @@ void Server::run_connection(int fd) {
 
     // Drain every complete frame before touching the disk or the socket:
     // a pipelining client's whole burst is decoded up front, applied under
-    // ONE core-lock acquisition (ServerCore::apply_batch — which also
-    // batch-precomputes the burst's admission floors), covered by ONE
+    // ONE core-lock acquisition (ServerCore::apply_batch), covered by ONE
     // fsync (group commit), and answered with ONE send. Responses still
     // release only after their LSNs are durable.
     bool close_conn = false;

@@ -22,6 +22,7 @@
 // exits. stop() does the same from a signal handler's thread.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -68,7 +69,9 @@ class Server {
 
   ServerCore& core_;
   ServerOptions options_;
-  int listen_fd_ = -1;
+  /// Atomic because stop() closes the listener from a connection thread
+  /// while serve() is parked in accept() on it.
+  std::atomic<int> listen_fd_{-1};
   int port_ = -1;
   std::mutex core_mu_;   ///< the canonical request serialization point
   std::mutex conn_mu_;   ///< guards threads_ / conn_fds_ / stopping_

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <span>
 #include <utility>
 
 #include "src/core/tightest_deadline.hpp"
@@ -320,76 +319,14 @@ proto::Response ServerCore::apply(const proto::Request& request,
 std::uint64_t ServerCore::apply_batch(
     const std::vector<proto::Request>& requests,
     std::vector<proto::Response>& responses) {
-  const BatchHints hints = prime_floor_hints(requests);
   std::uint64_t max_lsn = 0;
   responses.reserve(responses.size() + requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (!hints.floors.empty() && hints.floors[i].has_value())
-      single_->hint_admission_floor(*hints.floors[i], hints.epoch);
+  for (const proto::Request& request : requests) {
     std::uint64_t lsn = 0;
-    responses.push_back(apply(requests[i], &lsn));
-    // A request that failed before the engine consumed its hint (duplicate
-    // job id, invalid dag) must not leak the hint onto the next admission.
-    if (!hints.floors.empty()) single_->clear_admission_floor_hint();
+    responses.push_back(apply(request, &lsn));
     if (lsn > max_lsn) max_lsn = lsn;
   }
   return max_lsn;
-}
-
-ServerCore::BatchHints ServerCore::prime_floor_hints(
-    const std::vector<proto::Request>& requests) {
-  BatchHints hints;
-  // Hints only pay off when a flush carries several deadline submits: a
-  // lone admission refreshes the engine's own snapshot exactly once either
-  // way. Sharded mode routes before any engine is known, and recovery
-  // replay must not touch scratch state.
-  if (!single_ || replaying_ || requests.size() < 2) return hints;
-
-  // Each floor is evaluated at max(request time, now) — a LOWER bound on
-  // the request's true effective time (earlier requests in the burst can
-  // only push the stream clock further up). earliest_fit is monotone in
-  // not_before, so a floor computed at an earlier time lower-bounds the
-  // floor the engine would compute live, which is exactly what the
-  // engine's hint guard requires (see hint_admission_floor).
-  const double now0 = single_->now();
-  batch_queries_.clear();
-  struct Slot {
-    std::size_t index;  ///< position in `requests`
-    std::size_t begin;  ///< query-slice bounds in batch_queries_
-    std::size_t end;
-    double eff;
-  };
-  std::vector<Slot> slots;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const proto::Request& req = requests[i];
-    if (req.verb != proto::Verb::kSubmit || !req.dag.has_value() ||
-        !req.deadline.has_value())
-      continue;
-    const double eff = req.time > now0 ? req.time : now0;
-    const std::size_t begin = batch_queries_.size();
-    core::finish_floor_queries(*req.dag, config_.service.capacity, eff,
-                               job_floor_queries_);
-    batch_queries_.insert(batch_queries_.end(), job_floor_queries_.begin(),
-                          job_floor_queries_.end());
-    slots.push_back({i, begin, batch_queries_.size(), eff});
-  }
-  if (slots.size() < 2) {
-    batch_queries_.clear();
-    return hints;
-  }
-
-  batch_snapshot_.refresh(single_->profile());
-  hints.epoch = single_->profile().epoch();
-  batch_snapshot_.fit_many_into(batch_queries_, batch_fits_);
-  hints.floors.assign(requests.size(), std::nullopt);
-  const std::span<const resv::FitQuery> queries(batch_queries_);
-  const std::span<const std::optional<double>> fits(batch_fits_);
-  for (const Slot& slot : slots)
-    hints.floors[slot.index] = core::finish_floor_from_fits(
-        queries.subspan(slot.begin, slot.end - slot.begin),
-        fits.subspan(slot.begin, slot.end - slot.begin), slot.eff);
-  OBS_COUNT("srv.batch.floor_hints", slots.size());
-  return hints;
 }
 
 proto::Response ServerCore::admit(const proto::Request& effective,

@@ -4,9 +4,7 @@
 // suite targets the memory-layout machinery specifically:
 //
 //   * churn that hammers the treap-node free list (release → re-add over
-//     and over) must stay byte-identical to the LinearProfile oracle on
-//     BOTH query paths — the treap (small-profile crossover forced off)
-//     and the flat snapshot fast path (crossover forced on);
+//     and over) must stay byte-identical to the LinearProfile oracle;
 //   * steady-state churn must not touch the heap: the process-wide
 //     resv::arena_heap_allocs() counter is a deterministic regression
 //     signal where wall-clock noise would hide an accidental allocation;
@@ -29,20 +27,6 @@ using namespace resched;
 using resv::AvailabilityProfile;
 using resv::LinearProfile;
 using resv::Reservation;
-
-class CrossoverGuard {
- public:
-  explicit CrossoverGuard(int breakpoints)
-      : saved_(AvailabilityProfile::small_profile_crossover()) {
-    AvailabilityProfile::set_small_profile_crossover(breakpoints);
-  }
-  ~CrossoverGuard() {
-    AvailabilityProfile::set_small_profile_crossover(saved_);
-  }
-
- private:
-  int saved_;
-};
 
 Reservation random_reservation(util::Rng& rng, int capacity) {
   double start = rng.uniform(0.0, 200.0) * 3600.0;
@@ -74,10 +58,8 @@ void expect_matches_oracle(const AvailabilityProfile& indexed,
 }
 
 /// Seeded interleaved commit / release / compact churn, compared against
-/// the oracle after every mutation. `crossover` selects which query path
-/// the indexed profile answers from.
-void churn_differential(int crossover, std::uint64_t seed) {
-  CrossoverGuard guard(crossover);
+/// the oracle after every mutation.
+void churn_differential(std::uint64_t seed) {
   constexpr int kCapacity = 64;
   util::Rng rng(util::derive_seed(0xA4E7A, {seed}));
   AvailabilityProfile indexed(kCapacity);
@@ -118,13 +100,7 @@ void churn_differential(int crossover, std::uint64_t seed) {
 }
 
 TEST(ResvArena, ChurnMatchesOracleOnTreapPath) {
-  for (std::uint64_t seed = 0; seed < 4; ++seed)
-    churn_differential(/*crossover=*/0, seed);
-}
-
-TEST(ResvArena, ChurnMatchesOracleOnFlatPath) {
-  for (std::uint64_t seed = 0; seed < 4; ++seed)
-    churn_differential(/*crossover=*/1 << 30, seed);
+  for (std::uint64_t seed = 0; seed < 4; ++seed) churn_differential(seed);
 }
 
 TEST(ResvArena, SteadyStateChurnDoesNotTouchTheHeap) {

@@ -1,19 +1,25 @@
-// Tests for the experiment framework: the parallel runner (determinism and
-// error propagation), degradation-from-best aggregation, scenario grids,
-// instance construction, and table rendering.
+// Tests for the experiment framework: the parallel runner (determinism,
+// error propagation, and const calendar queries shared across its
+// workers), degradation-from-best aggregation, scenario grids, instance
+// construction, and table rendering.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <vector>
 
+#include "src/resv/fit_query.hpp"
+#include "src/resv/linear_profile.hpp"
+#include "src/resv/profile.hpp"
 #include "src/sim/metrics.hpp"
 #include "src/sim/runner.hpp"
 #include "src/sim/scenario.hpp"
 #include "src/sim/table.hpp"
 #include "src/util/error.hpp"
+#include "src/util/rng.hpp"
 
 namespace {
 
@@ -121,6 +127,53 @@ TEST(ParallelFor, TemplatedOverloadRunsStatefulFunctorsInPlace) {
   Counter counter{&hits};
   sim::parallel_for(64, 4, counter);
   EXPECT_EQ(64, hits.load());
+}
+
+TEST(ParallelFor, ConstCalendarQueriesAreThreadSafe) {
+  // Experiment cells share one competing calendar read-only. Four workers
+  // run 2,000 earliest/latest fits each against the same small profile;
+  // every answer must match the LinearProfile oracle, and under the TSan
+  // leg any write a const query makes to shared state is a reported race.
+  constexpr int kCapacity = 64;
+  constexpr int kCells = 4;
+  constexpr int kFitsPerCell = 2000;
+  util::Rng rng(0x7EAD5);
+  resv::ReservationList reservations;
+  for (int i = 0; i < 20; ++i) {
+    double start = rng.uniform(0.0, 48.0) * 3600.0;
+    double duration = rng.uniform(0.5, 12.0) * 3600.0;
+    int procs = static_cast<int>(rng.uniform_int(1, kCapacity));
+    reservations.push_back({start, start + duration, procs});
+  }
+  const resv::AvailabilityProfile profile(kCapacity, reservations);
+  const resv::LinearProfile oracle(kCapacity, reservations);
+
+  std::vector<resv::FitQuery> queries;
+  for (int i = 0; i < kCells * kFitsPerCell; ++i) {
+    int procs = static_cast<int>(rng.uniform_int(1, kCapacity));
+    double duration = rng.uniform(0.1, 12.0) * 3600.0;
+    double not_before = rng.uniform(0.0, 60.0) * 3600.0;
+    double deadline = not_before + rng.uniform(1.0, 48.0) * 3600.0;
+    queries.push_back(
+        i % 2 == 0 ? resv::FitQuery::earliest(procs, duration, not_before)
+                   : resv::FitQuery::latest(procs, duration, deadline,
+                                            not_before));
+  }
+
+  std::vector<std::optional<double>> got(queries.size());
+  sim::parallel_for(kCells, kCells, [&](int cell) {
+    for (int k = 0; k < kFitsPerCell; ++k) {
+      auto i = static_cast<std::size_t>(cell * kFitsPerCell + k);
+      const resv::FitQuery& q = queries[i];
+      got[i] = q.kind == resv::FitKind::kEarliest
+                   ? profile.earliest_fit(q.procs, q.duration, q.not_before)
+                   : profile.latest_fit(q.procs, q.duration, q.deadline,
+                                        q.not_before);
+    }
+  });
+  const std::vector<std::optional<double>> want = oracle.fit_many(queries);
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    ASSERT_EQ(got[i], want[i]) << "query " << i;
 }
 
 TEST(DegradationAggregator, HandComputedValues) {

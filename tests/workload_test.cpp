@@ -202,6 +202,19 @@ TEST(Swf, MissingFileThrows) {
   EXPECT_THROW(read_swf_file("/nonexistent/path.swf"), resched::Error);
 }
 
+}  // namespace
+
+namespace resched::workload {
+// Without a printer gtest shows a spec as its raw bytes, which start with
+// the heap address inside `name`. gtest_discover_tests copies that text
+// into the ctest test names, so under ASLR they changed on every build.
+inline void PrintTo(const SyntheticLogSpec& spec, std::ostream* os) {
+  *os << spec.name;
+}
+}  // namespace resched::workload
+
+namespace {
+
 class SyntheticLogCalibration
     : public ::testing::TestWithParam<SyntheticLogSpec> {};
 
