@@ -91,11 +91,6 @@ ResschedResult schedule_ressched(const dag::Dag& dag,
   ResschedResult result;
   result.schedule.tasks.resize(static_cast<std::size_t>(dag.size()));
 
-  // Query/fit buffers hoisted out of the task loop: the sweep allocates
-  // once per job instead of twice per task (measured hot spot #2).
-  std::vector<resv::FitQuery> queries;
-  std::vector<std::optional<double>> fits;
-
   for (int task : order) {
     auto ti = static_cast<std::size_t>(task);
     double ready = now;
@@ -103,29 +98,19 @@ ResschedResult schedule_ressched(const dag::Dag& dag,
       ready = std::max(
           ready, result.schedule.tasks[static_cast<std::size_t>(pred)].finish);
 
-    // Batch the downward processor-count sweep through the indexed
-    // calendar, then replay the dominance-pruned selection over the
-    // precomputed fits. Ties prefer the smaller allocation (same
-    // completion, fewer CPU-hours). Queries past the pruning point are
-    // discarded unread: ready + exec(np) lower-bounds any completion at np
-    // or below (exec grows as np shrinks), so once that bound cannot beat
-    // the incumbent the remaining counts are strictly dominated and the
-    // choice matches the one-at-a-time scan exactly.
-    queries.clear();
-    queries.reserve(static_cast<std::size_t>(bound[ti]));
-    for (int np = bound[ti]; np >= 1; --np)
-      queries.push_back(resv::FitQuery::earliest(
-          np, dag::exec_time(dag.cost(task), np), ready));
-    profile.fit_many_into(queries, fits);
-    sweep_queries += queries.size();
-
+    // Downward processor-count sweep through the indexed calendar, with
+    // dominance pruning. Ties prefer the smaller allocation (same
+    // completion, fewer CPU-hours). ready + exec(np) lower-bounds any
+    // completion at np or below (exec grows as np shrinks), so once that
+    // bound cannot beat the incumbent the remaining counts are strictly
+    // dominated and the sweep stops without querying them.
     int best_np = -1;
     double best_start = 0.0, best_completion = 0.0;
-    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-      const int np = queries[qi].procs;
-      const double exec = queries[qi].duration;
+    for (int np = bound[ti]; np >= 1; --np) {
+      const double exec = dag::exec_time(dag.cost(task), np);
       if (best_np > 0 && ready + exec > best_completion) break;
-      const std::optional<double>& start = fits[qi];
+      ++sweep_queries;
+      const std::optional<double> start = profile.earliest_fit(np, exec, ready);
       if (!start) continue;  // np exceeds momentary capacity
       double completion = *start + exec;
       if (best_np < 0 || completion < best_completion ||

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "src/obs/obs.hpp"
 #include "src/util/error.hpp"
@@ -15,40 +17,19 @@ struct PairChoice {
   double start = 0.0;
 };
 
-/// Query/fit buffers threaded through a whole backward pass so the
-/// per-task batches reuse capacity instead of allocating twice per task
-/// per pass (the λ ladder runs dozens of passes per admission).
-struct FitScratch {
-  std::vector<resv::FitQuery> queries;
-  std::vector<std::optional<double>> fits;
-};
-
 /// Latest-start choice (aggressive step): maximize the start time over
 /// np in [1, bound], ties to fewer processors. Scans np downward: the start
 /// of any fit at np is capped by dl − exec(np), which only shrinks as np
-/// does, so once that cap falls below the incumbent the rest is dominated.
+/// does, so once that cap falls below the incumbent the rest is dominated
+/// and the scan stops without querying the calendar for it.
 std::optional<PairChoice> latest_pair(const resv::AvailabilityProfile& profile,
                                       const dag::TaskCost& cost, int bound,
-                                      double dl, double now,
-                                      FitScratch& scratch) {
-  // Batched through the indexed calendar; the dominance break still governs
-  // which results are consumed. A fit past the break starts at or before
-  // dl − exec(np) < best->start (strictly), so it can never displace the
-  // incumbent and the batch selects exactly what the scan did.
-  auto& queries = scratch.queries;
-  queries.clear();
-  queries.reserve(static_cast<std::size_t>(bound));
-  for (int np = bound; np >= 1; --np)
-    queries.push_back(
-        resv::FitQuery::latest(np, dag::exec_time(cost, np), dl, now));
-  profile.fit_many_into(queries, scratch.fits);
-
+                                      double dl, double now) {
   std::optional<PairChoice> best;
-  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    const int np = queries[qi].procs;
-    const double exec = queries[qi].duration;
+  for (int np = bound; np >= 1; --np) {
+    const double exec = dag::exec_time(cost, np);
     if (best && dl - exec < best->start) break;
-    const std::optional<double>& start = scratch.fits[qi];
+    const std::optional<double> start = profile.latest_fit(np, exec, dl, now);
     if (!start) continue;
     if (!best || *start > best->start ||
         (*start == best->start && np < best->np))
@@ -62,23 +43,18 @@ std::optional<PairChoice> latest_pair(const resv::AvailabilityProfile& profile,
 /// position), placed at that latest start — few processors to save
 /// CPU-hours, a late start to leave room for the unscheduled ancestors.
 /// Counts whose cap dl − exec(np) cannot reach the threshold are skipped
-/// without a calendar scan.
+/// without a calendar scan, and the scan stops at the first count that
+/// qualifies.
 std::optional<PairChoice> conservative_pair(
     const resv::AvailabilityProfile& profile, const dag::TaskCost& cost,
-    int max_np, double dl, double now, double threshold, FitScratch& scratch) {
+    int max_np, double dl, double now, double threshold) {
   if (threshold >= dl) return std::nullopt;
-  auto& queries = scratch.queries;
-  queries.clear();
-  queries.reserve(static_cast<std::size_t>(max_np));
   for (int np = 1; np <= max_np; ++np) {
-    double exec = dag::exec_time(cost, np);
+    const double exec = dag::exec_time(cost, np);
     if (dl - exec < threshold) continue;  // even an empty calendar can't
-    queries.push_back(resv::FitQuery::latest(np, exec, dl, now));
+    const std::optional<double> start = profile.latest_fit(np, exec, dl, now);
+    if (start && *start >= threshold) return PairChoice{np, *start};
   }
-  profile.fit_many_into(queries, scratch.fits);
-  for (std::size_t qi = 0; qi < queries.size(); ++qi)
-    if (scratch.fits[qi] && *scratch.fits[qi] >= threshold)
-      return PairChoice{queries[qi].procs, *scratch.fits[qi]};
   return std::nullopt;
 }
 
@@ -103,7 +79,6 @@ std::optional<AppSchedule> backward_pass(
   AppSchedule sched;
   sched.tasks.resize(static_cast<std::size_t>(dag.size()));
   std::vector<bool> placed(static_cast<std::size_t>(dag.size()), false);
-  FitScratch scratch;
 
   for (int task : order) {
     auto ti = static_cast<std::size_t>(task);
@@ -119,11 +94,10 @@ std::optional<AppSchedule> backward_pass(
       double s_i = now + stretch * (*guideline_rel)[ti];
       double threshold = s_i + lambda * (dl - s_i);
       choice = conservative_pair(profile, dag.cost(task), p, dl, now,
-                                 threshold, scratch);
+                                 threshold);
     }
     if (!choice)  // aggressive mode, or conservative found no pair
-      choice = latest_pair(profile, dag.cost(task), aggr_bound[ti], dl, now,
-                           scratch);
+      choice = latest_pair(profile, dag.cost(task), aggr_bound[ti], dl, now);
     if (!choice) return std::nullopt;  // deadline cannot be met
 
     // Floating-point guard: a latest-fit placement abuts its deadline, and
@@ -138,6 +112,41 @@ std::optional<AppSchedule> backward_pass(
     profile.add(r.as_reservation());
   }
   return sched;
+}
+
+/// Guideline start S_i^cpa for the task at each backward-order position k:
+/// the CPA schedule (on q processors, allocation `alloc` = CPA(q) of the
+/// whole DAG) of the sub-DAG of tasks not yet scheduled at step k
+/// (positions k and later), relative to the schedule origin. Also returns
+/// the whole application's CPA makespan, which anchors the deadline-budget
+/// stretch.
+///
+/// Two positions need no sub-DAG CPA run. At k = 0 the sub-DAG is the whole
+/// DAG, whose CPA schedule is `alloc` list-scheduled in `cpa_order`
+/// (decreasing bottom level under `alloc`) — exactly what
+/// cpa::subdag_guideline computes for a full mask. At k = n − 1 it is a
+/// lone task, which the list schedule always starts at the origin.
+std::vector<double> guideline_starts(const dag::Dag& dag,
+                                     std::span<const int> order,
+                                     std::span<const int> alloc,
+                                     std::span<const int> cpa_order, int q,
+                                     const cpa::Options& cpa,
+                                     double& makespan_out) {
+  const std::size_t n = order.size();
+  std::vector<double> rel(n, 0.0);
+  const auto first = static_cast<std::size_t>(order[0]);
+  const std::vector<cpa::Placement> whole =
+      cpa::list_schedule(dag, alloc, q, 0.0, cpa_order);
+  makespan_out = cpa::makespan(whole, 0.0);
+  rel[first] = whole[first].start;
+  std::vector<bool> keep(n, true);
+  keep[first] = false;
+  for (std::size_t k = 1; k + 1 < n; ++k) {
+    const auto task = static_cast<std::size_t>(order[k]);
+    rel[task] = cpa::subdag_guideline(dag, keep, q, cpa).start[task];
+    keep[task] = false;
+  }
+  return rel;
 }
 
 }  // namespace
@@ -155,59 +164,52 @@ const char* to_string(DlAlgo algo) {
   return "?";
 }
 
-GuidelineSet guidelines_for(DlAlgo algo) {
+ContextNeeds context_needs(DlAlgo algo) {
   switch (algo) {
     case DlAlgo::kBdAll:
-    case DlAlgo::kBdCpa:
     case DlAlgo::kBdCpar:
-      return GuidelineSet::kNone;
+      return {false, GuidelineSet::kNone};
+    case DlAlgo::kBdCpa:
+      return {true, GuidelineSet::kNone};
     case DlAlgo::kRcCpa:
-      return GuidelineSet::kP;
+      return {true, GuidelineSet::kP};
     case DlAlgo::kRcCpar:
     case DlAlgo::kRcCparLambda:
+      return {true, GuidelineSet::kQ};
     case DlAlgo::kRcbdCparLambda:
-      return GuidelineSet::kQ;
+      return {false, GuidelineSet::kQ};
   }
-  return GuidelineSet::kBoth;
+  return {};
 }
 
 DeadlineContext make_deadline_context(const dag::Dag& dag, int p, int q_hist,
-                                      const cpa::Options& cpa,
-                                      GuidelineSet guidelines) {
+                                      const DeadlineParams& params) {
   OBS_SPAN("core.resscheddl.context");
+  const ContextNeeds needs = context_needs(params.algo);
   DeadlineContext ctx;
-  ctx.cpa_alloc_p = cpa::allocations(dag, p, cpa);
-  ctx.cpa_alloc_q = cpa::allocations(dag, q_hist, cpa);
+  ctx.cpa_alloc_q = cpa::allocations(dag, q_hist, params.cpa);
+  if (needs.alloc_p) ctx.cpa_alloc_p = cpa::allocations(dag, p, params.cpa);
 
-  // BL_CPAR bottom levels (§5.2), backward order: successors first.
+  // BL_CPAR bottom levels (§5.2), backward order: successors first. The
+  // forward order is the CPA(q_hist) list-scheduling priority.
   std::vector<double> bl;
   dag::bottom_levels_into(dag, ctx.cpa_alloc_q, bl);
-  ctx.order = dag::order_by_decreasing(dag, bl);
-  std::reverse(ctx.order.begin(), ctx.order.end());
+  const std::vector<int> cpa_order_q = dag::order_by_decreasing(dag, bl);
+  ctx.order.assign(cpa_order_q.rbegin(), cpa_order_q.rend());
 
-  // Guideline start S_i^cpa for the task at order position k: CPA schedule
-  // of the sub-DAG of tasks not yet scheduled at step k (positions k and
-  // later), relative to the schedule origin. Independent of deadline, λ,
-  // and the calendar, so deadline searches reuse the context freely. The
-  // k = 0 sub-DAG is the whole application, whose makespan anchors the
-  // deadline-budget stretch.
-  auto compute = [&](int q, double& makespan_out) {
-    std::vector<double> rel(static_cast<std::size_t>(dag.size()), 0.0);
-    std::vector<bool> keep(static_cast<std::size_t>(dag.size()), true);
-    for (std::size_t k = 0; k < ctx.order.size(); ++k) {
-      int task = ctx.order[k];
-      auto guide = cpa::subdag_guideline(dag, keep, q, cpa);
-      if (k == 0) makespan_out = guide.makespan;
-      rel[static_cast<std::size_t>(task)] =
-          guide.start[static_cast<std::size_t>(task)];
-      keep[static_cast<std::size_t>(task)] = false;
-    }
-    return rel;
-  };
-  if (guidelines == GuidelineSet::kP || guidelines == GuidelineSet::kBoth)
-    ctx.guideline_rel_p = compute(p, ctx.cpa_makespan_p);
-  if (guidelines == GuidelineSet::kQ || guidelines == GuidelineSet::kBoth)
-    ctx.guideline_rel_q = compute(q_hist, ctx.cpa_makespan_q);
+  // The guidelines are independent of deadline, λ, and the calendar, so
+  // deadline searches reuse the context freely.
+  if (needs.guidelines == GuidelineSet::kP) {
+    dag::bottom_levels_into(dag, ctx.cpa_alloc_p, bl);
+    const std::vector<int> cpa_order_p = dag::order_by_decreasing(dag, bl);
+    ctx.guideline_rel_p = guideline_starts(dag, ctx.order, ctx.cpa_alloc_p,
+                                           cpa_order_p, p, params.cpa,
+                                           ctx.cpa_makespan_p);
+  }
+  if (needs.guidelines == GuidelineSet::kQ)
+    ctx.guideline_rel_q = guideline_starts(dag, ctx.order, ctx.cpa_alloc_q,
+                                           cpa_order_q, q_hist, params.cpa,
+                                           ctx.cpa_makespan_q);
   return ctx;
 }
 
@@ -215,8 +217,7 @@ DeadlineResult schedule_deadline(const dag::Dag& dag,
                                  const resv::AvailabilityProfile& competing,
                                  double now, int q_hist, double deadline,
                                  const DeadlineParams& params) {
-  auto ctx = make_deadline_context(dag, competing.capacity(), q_hist,
-                                   params.cpa, guidelines_for(params.algo));
+  auto ctx = make_deadline_context(dag, competing.capacity(), q_hist, params);
   return schedule_deadline(dag, competing, now, q_hist, deadline, params, ctx);
 }
 
@@ -229,6 +230,14 @@ DeadlineResult schedule_deadline(const dag::Dag& dag,
                 "q_hist must be in [1, p]");
   OBS_PHASE("core.resscheddl");
   auto n = static_cast<std::size_t>(dag.size());
+  const ContextNeeds needs = context_needs(params.algo);
+  RESCHED_CHECK(ctx.order.size() == n && ctx.cpa_alloc_q.size() == n &&
+                    (!needs.alloc_p || ctx.cpa_alloc_p.size() == n) &&
+                    (needs.guidelines != GuidelineSet::kP ||
+                     ctx.guideline_rel_p.size() == n) &&
+                    (needs.guidelines != GuidelineSet::kQ ||
+                     ctx.guideline_rel_q.size() == n),
+                "context not built for this DAG and algorithm");
   const std::vector<int> all_p(n, competing.capacity());
 
   DeadlineResult result;

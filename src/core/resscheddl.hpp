@@ -97,7 +97,10 @@ struct DeadlineResult {
 /// order, the CPA allocation bounds, and the CPA guideline start times
 /// relative to the schedule origin (which depend only on the DAG and q —
 /// not on the deadline, λ, or the calendar — so binary searches reuse them
-/// freely; the deadline-budget stretch is applied at use time).
+/// freely; the deadline-budget stretch is applied at use time). Every
+/// context holds `order` and `cpa_alloc_q`, from which the order derives; of
+/// the other fields it holds only those context_needs(algo) names, the rest
+/// stay empty (0).
 struct DeadlineContext {
   std::vector<int> order;               ///< increasing bottom level
   std::vector<int> cpa_alloc_p;         ///< CPA allocations with q = p
@@ -108,18 +111,28 @@ struct DeadlineContext {
   double cpa_makespan_q = 0.0;          ///< full-DAG CPA makespan, q = q_hist
 };
 
-/// Which guideline-start vectors to precompute (the expensive part; one CPA
-/// sub-schedule per task each). Aggressive algorithms need none; DL_RC_CPA
-/// needs the q = p set; the other conservative algorithms the q = q_hist set.
-enum class GuidelineSet { kNone, kP, kQ, kBoth };
+/// Which guideline-start vectors an algorithm reads (the expensive part;
+/// one CPA sub-schedule per task each): guideline_rel_p and cpa_makespan_p
+/// for kP, guideline_rel_q and cpa_makespan_q for kQ.
+enum class GuidelineSet { kNone, kP, kQ };
 
-/// The guideline set an algorithm requires.
-GuidelineSet guidelines_for(DlAlgo algo);
+/// The context fields an algorithm reads beyond `order` and `cpa_alloc_q`,
+/// which every context holds.
+struct ContextNeeds {
+  bool alloc_p = false;  ///< cpa_alloc_p
+  GuidelineSet guidelines = GuidelineSet::kNone;
+};
 
-/// Builds the context, computing only the requested guideline vectors.
+/// The one per-algorithm table of context reads: CPA(p) as the latest-start
+/// bound (DL_BD_CPA, DL_RC_CPA) or the conservative fallback bound
+/// (DL_RC_CPAR, DL_RC_CPAR-λ); the q = p guidelines for DL_RC_CPA and the
+/// q = q_hist guidelines for the other conservative algorithms.
+ContextNeeds context_needs(DlAlgo algo);
+
+/// Builds the context for params.algo (with params.cpa), computing only the
+/// fields that algorithm reads.
 DeadlineContext make_deadline_context(const dag::Dag& dag, int p, int q_hist,
-                                      const cpa::Options& cpa,
-                                      GuidelineSet guidelines);
+                                      const DeadlineParams& params);
 
 /// Attempts to schedule the application so it completes by `deadline`.
 DeadlineResult schedule_deadline(const dag::Dag& dag,
@@ -127,7 +140,10 @@ DeadlineResult schedule_deadline(const dag::Dag& dag,
                                  double now, int q_hist, double deadline,
                                  const DeadlineParams& params);
 
-/// Context-reusing overload for deadline searches.
+/// Context-reusing overload for deadline searches. `ctx` must come from
+/// make_deadline_context for the same DAG, p = competing.capacity(), q_hist
+/// and params (algo and cpa options): a context built for another algorithm
+/// may lack a field this one reads, which throws resched::Error.
 DeadlineResult schedule_deadline(const dag::Dag& dag,
                                  const resv::AvailabilityProfile& competing,
                                  double now, int q_hist, double deadline,

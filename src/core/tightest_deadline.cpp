@@ -47,8 +47,7 @@ TightestDeadlineResult tightest_deadline(
     double now, int q_hist, const DeadlineParams& params,
     const TightestDeadlineOptions& opts) {
   OBS_PHASE("core.tightest_deadline");
-  auto ctx = make_deadline_context(dag, competing.capacity(), q_hist,
-                                   params.cpa, guidelines_for(params.algo));
+  auto ctx = make_deadline_context(dag, competing.capacity(), q_hist, params);
 
   TightestDeadlineResult result;
   // Quick-infeasible filter: probes below the calendar-aware finish floor

@@ -27,59 +27,85 @@ std::vector<int> allocations(const dag::Dag& dag, int q,
     }
   }
 
+  // Per-task exec time at alloc and alloc + 1 and the relative gain of the
+  // next grant, cached so that a grant refreshes only the granted task. The
+  // arithmetic is expression-for-expression dag::exec_time / dag::work, so
+  // every value is the one the per-task calls would produce.
+  const double* seq = dag.seq_times().data();
+  const double* alpha = dag.alphas().data();
+  auto exec_at = [&](std::size_t v, int procs) {
+    return seq[v] * (alpha[v] + (1.0 - alpha[v]) / static_cast<double>(procs));
+  };
+  auto gain_of = [](double cur, double nxt) {
+    return cur <= 0.0 ? 0.0 : (cur - nxt) / cur;
+  };
+  const auto nz = static_cast<std::size_t>(n);
+  std::vector<double> exec(nz), next(nz), gain(nz), bl(nz), tl(nz);
   // Average area, maintained incrementally as allocations grow.
   double area = 0.0;
-  for (int v = 0; v < n; ++v) area += dag::work(dag.cost(v), 1);
+  for (std::size_t v = 0; v < nz; ++v) {
+    exec[v] = exec_at(v, 1);
+    next[v] = exec_at(v, 2);
+    gain[v] = gain_of(exec[v], next[v]);
+    area += exec[v];  // == dag::work(dag.cost(v), 1)
+  }
   double t_a = area / static_cast<double>(q);
 
   // Each iteration adds one processor to one task, so the loop is bounded
-  // by n * (q - 1) even if T_CP never dips below T_A. The exec/bottom/top
-  // sweeps reuse scratch buffers across iterations — this loop was the
-  // measured #1 hot spot of the online engine (it dominated
-  // core.resscheddl.context) and previously recomputed bottom levels three
-  // times per iteration through critical_path_tasks.
-  // Only the chosen task's allocation changes per iteration, so the exec
-  // vector is maintained incrementally: one exec_time call per grant
-  // instead of a full O(n) recompute (same formula, same inputs — the
-  // values are the ones exec_times_into would produce).
-  std::vector<double> exec, bl, tl;
-  dag::exec_times_into(dag, alloc, exec);
+  // by n * (q - 1) even if T_CP never dips below T_A. Every grant re-runs
+  // the full bottom-level and top-level sweeps over the CSR arrays (an
+  // incremental longest-path update was measured not to pay: each grant
+  // lands on the critical path, so most levels change anyway).
+  const int* off = dag.succ_offsets().data();
+  const int* succ = dag.succ_targets().data();
+  const std::vector<int>& topo = dag.topological_order();
   while (true) {
-    dag::bottom_levels_into(dag, exec, bl);
+    for (std::size_t r = nz; r-- > 0;) {
+      const auto v = static_cast<std::size_t>(topo[r]);
+      double longest = 0.0;
+      for (int e = off[v]; e < off[v + 1]; ++e)
+        longest = std::max(longest, bl[static_cast<std::size_t>(succ[e])]);
+      bl[v] = exec[v] + longest;
+    }
     double t_cp = *std::max_element(bl.begin(), bl.end());
     if (t_cp <= t_a) break;
 
     // Candidate: critical-path task with the largest relative execution-time
     // reduction from one extra processor; ties go to the longer bottom level
-    // (the more schedule-critical task). Membership is inlined from
-    // dag::critical_path_tasks — same tolerance arithmetic, same
-    // topological visiting order (t_cp is the same max-element of the same
-    // bottom levels it would recompute) — so the selection is unchanged.
-    dag::top_levels_into(dag, exec, tl);
+    // (the more schedule-critical task). The forward top-level push visits
+    // tasks in topological order and a task's top level is final when it is
+    // visited, so the candidate test rides along: same tolerance arithmetic
+    // and visiting order as dag::critical_path_tasks.
+    std::fill(tl.begin(), tl.end(), 0.0);
     double tol = 1e-9 * std::max(1.0, t_cp);
     int best = -1;
     double best_gain = 0.0;
-    for (int v : dag.topological_order()) {
-      auto vi = static_cast<std::size_t>(v);
-      if (tl[vi] + bl[vi] < t_cp - tol) continue;  // off every critical path
-      if (alloc[vi] >= cap[vi]) continue;
-      double cur = exec[vi];  // == dag::exec_time(dag.cost(v), alloc[vi])
-      double nxt = dag::exec_time(dag.cost(v), alloc[vi] + 1);
-      double gain = cur <= 0.0 ? 0.0 : (cur - nxt) / cur;
-      if (best < 0 || gain > best_gain ||
-          (gain == best_gain && bl[vi] > bl[static_cast<std::size_t>(best)])) {
-        best = v;
-        best_gain = gain;
+    for (int task : topo) {
+      const auto v = static_cast<std::size_t>(task);
+      for (int e = off[v]; e < off[v + 1]; ++e) {
+        double& t = tl[static_cast<std::size_t>(succ[e])];
+        t = std::max(t, tl[v] + exec[v]);
+      }
+      if (tl[v] + bl[v] < t_cp - tol) continue;  // off every critical path
+      if (alloc[v] >= cap[v]) continue;
+      if (best < 0 || gain[v] > best_gain ||
+          (gain[v] == best_gain &&
+           bl[v] > bl[static_cast<std::size_t>(best)])) {
+        best = task;
+        best_gain = gain[v];
       }
     }
     if (best < 0 || best_gain <= 0.0) break;  // saturated: no useful growth
 
     auto bi = static_cast<std::size_t>(best);
-    t_a += (dag::work(dag.cost(best), alloc[bi] + 1) -
-            dag::work(dag.cost(best), alloc[bi])) /
+    const int a = alloc[bi];
+    t_a += (static_cast<double>(a + 1) * next[bi] -
+            static_cast<double>(a) * exec[bi]) /
            static_cast<double>(q);
-    ++alloc[bi];
-    exec[bi] = dag::exec_time(dag.cost(best), alloc[bi]);
+    alloc[bi] = a + 1;
+    exec[bi] = next[bi];
+    next[bi] = exec_at(bi, a + 2);
+    gain[bi] = gain_of(exec[bi], next[bi]);
   }
   return alloc;
 }

@@ -128,12 +128,13 @@ void bottom_levels_into(const Dag& dag, std::span<const double> exec,
   // The phase keeps its kernels.* name because perfbench reports it as
   // sweep.bl_kernel_us.
   OBS_PHASE("kernels.bl_sweep_ns");
-  const int* off = dag.succ_off_.data();
-  const int* succ = dag.succ_flat_.data();
+  const int* off = dag.succ_offsets().data();
+  const int* succ = dag.succ_targets().data();
+  const std::vector<int>& topo = dag.topological_order();
   const double* ex = exec.data();
   double* out = bl.data();
-  for (std::size_t r = dag.topo_.size(); r-- > 0;) {
-    const int v = dag.topo_[r];
+  for (std::size_t r = topo.size(); r-- > 0;) {
+    const int v = topo[r];
     double best = 0.0;
     for (int e = off[v]; e < off[v + 1]; ++e)
       best = std::max(best, out[succ[e]]);
@@ -153,11 +154,11 @@ void top_levels_into(const Dag& dag, std::span<const double> exec,
                 "exec-time vector size must match DAG size");
   tl.assign(exec.size(), 0.0);
   // Forward push: tl[s] = max over predecessors q of (tl[q] + exec[q]).
-  const int* off = dag.succ_off_.data();
-  const int* succ = dag.succ_flat_.data();
+  const int* off = dag.succ_offsets().data();
+  const int* succ = dag.succ_targets().data();
   const double* ex = exec.data();
   double* out = tl.data();
-  for (int v : dag.topo_)
+  for (int v : dag.topological_order())
     for (int e = off[v]; e < off[v + 1]; ++e)
       out[succ[e]] = std::max(out[succ[e]], out[v] + ex[v]);
 }

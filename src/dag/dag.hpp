@@ -46,6 +46,12 @@ class Dag {
   std::span<const double> seq_times() const { return seq_times_; }
   std::span<const double> alphas() const { return alphas_; }
 
+  /// The successor lists as raw CSR arrays, for sweeps that walk every
+  /// edge without successors()'s per-call bounds check: task v's successors
+  /// are succ_targets()[succ_offsets()[v], succ_offsets()[v + 1]).
+  std::span<const int> succ_offsets() const { return succ_off_; }
+  std::span<const int> succ_targets() const { return succ_flat_; }
+
   /// A fixed topological order (parents before children).
   const std::vector<int>& topological_order() const { return topo_; }
 
@@ -69,13 +75,6 @@ class Dag {
   int max_width() const { return max_width_; }
 
  private:
-  // The sweeps walk the CSR arrays directly, without successors()'s
-  // per-call bounds check.
-  friend void bottom_levels_into(const Dag& dag, std::span<const double> exec,
-                                 std::vector<double>& bl);
-  friend void top_levels_into(const Dag& dag, std::span<const double> exec,
-                              std::vector<double>& tl);
-
   std::size_t checked(int task) const;
 
   static std::span<const int> adjacency(const std::vector<int>& off,

@@ -2,11 +2,10 @@
 // and the linear oracle.
 //
 // A FitQuery names one earliest-fit or latest-fit probe; fit_many() answers
-// a whole batch against a single calendar. Batching is how the
-// RESSCHED allocation sweep (one probe per candidate processor count) and
-// the online admission pre-filter (one probe per task) talk to the
-// calendar: the call sites stay declarative and the profile is free to
-// amortize work across the batch.
+// a whole batch against a single calendar, which is how the indexed profile
+// and the linear oracle are differential-tested. The deadline finish-floor
+// filters (core::finish_floor_queries) also describe their per-task probes
+// as FitQuery lists.
 #pragma once
 
 namespace resched::resv {

@@ -109,22 +109,15 @@ std::optional<double> AvailabilityProfile::latest_fit(int procs,
 
 std::vector<std::optional<double>> AvailabilityProfile::fit_many(
     std::span<const FitQuery> queries) const {
-  std::vector<std::optional<double>> out;
-  fit_many_into(queries, out);
-  return out;
-}
-
-void AvailabilityProfile::fit_many_into(
-    std::span<const FitQuery> queries,
-    std::vector<std::optional<double>>& out) const {
   OBS_COUNT("resv.fit.batches", 1);
-  out.clear();
+  std::vector<std::optional<double>> out;
   out.reserve(queries.size());
   for (const FitQuery& q : queries)
     out.push_back(q.kind == FitKind::kEarliest
                       ? earliest_fit(q.procs, q.duration, q.not_before)
                       : latest_fit(q.procs, q.duration, q.deadline,
                                    q.not_before));
+  return out;
 }
 
 double AvailabilityProfile::average_available(double from, double to) const {

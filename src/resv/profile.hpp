@@ -106,16 +106,12 @@ class AvailabilityProfile {
                                    double not_before) const;
 
   /// Batch form: answers queries[i] with the matching earliest_fit /
-  /// latest_fit against this calendar. Used by the RESSCHED
-  /// allocation sweep (one query per candidate processor count) and the
-  /// online admission pre-filter (one query per task).
+  /// latest_fit against this calendar — the shape in which the indexed
+  /// calendar is differential-tested against LinearProfile::fit_many.
+  /// Scheduling sweeps query one count at a time instead, so they can stop
+  /// at their dominance break (DESIGN.md §11).
   std::vector<std::optional<double>> fit_many(
       std::span<const FitQuery> queries) const;
-
-  /// fit_many writing into a caller-owned buffer (cleared first), so hot
-  /// sweeps reuse capacity across batches instead of allocating per batch.
-  void fit_many_into(std::span<const FitQuery> queries,
-                     std::vector<std::optional<double>>& out) const;
 
   /// Time-average of available processors over [from, to), from < to.
   double average_available(double from, double to) const;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "src/core/algorithms.hpp"
 #include "src/core/resscheddl.hpp"
@@ -197,11 +199,24 @@ TEST(Deadline, SchedulesRelaxAsDeadlineLoosens) {
 TEST(Deadline, GuidelinesForMapping) {
   using core::DlAlgo;
   using core::GuidelineSet;
-  EXPECT_EQ(core::guidelines_for(DlAlgo::kBdAll), GuidelineSet::kNone);
-  EXPECT_EQ(core::guidelines_for(DlAlgo::kBdCpar), GuidelineSet::kNone);
-  EXPECT_EQ(core::guidelines_for(DlAlgo::kRcCpa), GuidelineSet::kP);
-  EXPECT_EQ(core::guidelines_for(DlAlgo::kRcCpar), GuidelineSet::kQ);
-  EXPECT_EQ(core::guidelines_for(DlAlgo::kRcbdCparLambda), GuidelineSet::kQ);
+  auto guidelines = [](DlAlgo a) { return core::context_needs(a).guidelines; };
+  auto alloc_p = [](DlAlgo a) { return core::context_needs(a).alloc_p; };
+  EXPECT_EQ(guidelines(DlAlgo::kBdAll), GuidelineSet::kNone);
+  EXPECT_EQ(guidelines(DlAlgo::kBdCpa), GuidelineSet::kNone);
+  EXPECT_EQ(guidelines(DlAlgo::kBdCpar), GuidelineSet::kNone);
+  EXPECT_EQ(guidelines(DlAlgo::kRcCpa), GuidelineSet::kP);
+  EXPECT_EQ(guidelines(DlAlgo::kRcCpar), GuidelineSet::kQ);
+  EXPECT_EQ(guidelines(DlAlgo::kRcCparLambda), GuidelineSet::kQ);
+  EXPECT_EQ(guidelines(DlAlgo::kRcbdCparLambda), GuidelineSet::kQ);
+  // CPA(p) is the latest-start bound of DL_BD_CPA and DL_RC_CPA and the
+  // fallback bound of DL_RC_CPAR(-λ); DL_RCBD_CPAR-λ falls back to CPA(q).
+  EXPECT_FALSE(alloc_p(DlAlgo::kBdAll));
+  EXPECT_TRUE(alloc_p(DlAlgo::kBdCpa));
+  EXPECT_FALSE(alloc_p(DlAlgo::kBdCpar));
+  EXPECT_TRUE(alloc_p(DlAlgo::kRcCpa));
+  EXPECT_TRUE(alloc_p(DlAlgo::kRcCpar));
+  EXPECT_TRUE(alloc_p(DlAlgo::kRcCparLambda));
+  EXPECT_FALSE(alloc_p(DlAlgo::kRcbdCparLambda));
 }
 
 TEST(Deadline, ContextReuseMatchesConvenienceApi) {
@@ -209,8 +224,7 @@ TEST(Deadline, ContextReuseMatchesConvenienceApi) {
   core::DeadlineParams params;
   params.algo = core::DlAlgo::kRcCpar;
   auto ctx = core::make_deadline_context(fx.dag, fx.profile.capacity(),
-                                         fx.q_hist, params.cpa,
-                                         core::GuidelineSet::kQ);
+                                         fx.q_hist, params);
   auto direct = core::schedule_deadline(fx.dag, fx.profile, fx.now, fx.q_hist,
                                         fx.comfortable_deadline, params);
   auto with_ctx = core::schedule_deadline(fx.dag, fx.profile, fx.now,
@@ -224,6 +238,141 @@ TEST(Deadline, ContextReuseMatchesConvenienceApi) {
     EXPECT_NEAR(direct.schedule.tasks[vi].start,
                 with_ctx.schedule.tasks[vi].start, 1e-9);
   }
+}
+
+/// The deadline context computed the long way: both CPA allocations, and a
+/// CPA guideline schedule of the remaining sub-DAG at every backward-order
+/// position k, the whole DAG's (k = 0) supplying the makespan.
+struct LongWayContext {
+  std::vector<int> order, alloc_p, alloc_q;
+  std::vector<double> rel_p, rel_q;
+  double makespan_p = 0.0, makespan_q = 0.0;
+
+  LongWayContext(const dag::Dag& d, int p, int q_hist,
+                 const cpa::Options& opts)
+      : alloc_p(cpa::allocations(d, p, opts)),
+        alloc_q(cpa::allocations(d, q_hist, opts)) {
+    order = dag::order_by_decreasing(d, dag::bottom_levels(d, alloc_q));
+    std::reverse(order.begin(), order.end());
+    rel_p = guidelines(d, p, opts, makespan_p);
+    rel_q = guidelines(d, q_hist, opts, makespan_q);
+  }
+
+  std::vector<double> guidelines(const dag::Dag& d, int q,
+                                 const cpa::Options& opts,
+                                 double& makespan) const {
+    std::vector<double> rel(static_cast<std::size_t>(d.size()), 0.0);
+    std::vector<bool> keep(static_cast<std::size_t>(d.size()), true);
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const auto task = static_cast<std::size_t>(order[k]);
+      auto guide = cpa::subdag_guideline(d, keep, q, opts);
+      if (k == 0) makespan = guide.makespan;
+      rel[task] = guide.start[task];
+      keep[task] = false;
+    }
+    return rel;
+  }
+};
+
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+TEST(Deadline, ContextHoldsExactlyWhatEachAlgorithmReads) {
+  using core::DlAlgo;
+  std::vector<dag::Dag> dags;
+  dags.emplace_back(std::vector<dag::TaskCost>{{1800.0, 0.1}},
+                    std::span<const std::pair<int, int>>{});
+  const std::pair<int, int> chain2[] = {{0, 1}};
+  dags.emplace_back(std::vector<dag::TaskCost>{{1800.0, 0.1}, {600.0, 0.3}},
+                    chain2);
+  dags.emplace_back(std::vector<dag::TaskCost>{{1800.0, 0.0}, {600.0, 1.0}},
+                    std::span<const std::pair<int, int>>{});
+  for (std::uint64_t seed : {61ull, 62ull, 63ull})
+    for (int n : {10, 30}) dags.push_back(Fixture::make_dag(seed, n));
+
+  const int p = 64;
+  for (const dag::Dag& d : dags)
+    for (int q_hist : {1, 23, p})
+      for (auto crit : {cpa::Criterion::kOriginal, cpa::Criterion::kImproved}) {
+        const cpa::Options opts{crit};
+        const LongWayContext want(d, p, q_hist, opts);
+        for (DlAlgo algo :
+             {DlAlgo::kBdAll, DlAlgo::kBdCpa, DlAlgo::kBdCpar, DlAlgo::kRcCpa,
+              DlAlgo::kRcCpar, DlAlgo::kRcCparLambda,
+              DlAlgo::kRcbdCparLambda}) {
+          SCOPED_TRACE(testing::Message()
+                       << core::to_string(algo) << " n=" << d.size()
+                       << " q_hist=" << q_hist
+                       << " criterion=" << static_cast<int>(crit));
+          core::DeadlineParams params;
+          params.algo = algo;
+          params.cpa = opts;
+          const auto ctx = core::make_deadline_context(d, p, q_hist, params);
+          EXPECT_EQ(ctx.order, want.order);
+          EXPECT_EQ(ctx.cpa_alloc_q, want.alloc_q);
+          const core::ContextNeeds needs = core::context_needs(algo);
+          EXPECT_EQ(ctx.cpa_alloc_p,
+                    needs.alloc_p ? want.alloc_p : std::vector<int>{});
+          const core::GuidelineSet set = needs.guidelines;
+          if (set == core::GuidelineSet::kP) {
+            EXPECT_EQ(bits(ctx.guideline_rel_p), bits(want.rel_p));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(ctx.cpa_makespan_p),
+                      std::bit_cast<std::uint64_t>(want.makespan_p));
+          } else {
+            EXPECT_TRUE(ctx.guideline_rel_p.empty());
+            EXPECT_EQ(ctx.cpa_makespan_p, 0.0);
+          }
+          if (set == core::GuidelineSet::kQ) {
+            EXPECT_EQ(bits(ctx.guideline_rel_q), bits(want.rel_q));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(ctx.cpa_makespan_q),
+                      std::bit_cast<std::uint64_t>(want.makespan_q));
+          } else {
+            EXPECT_TRUE(ctx.guideline_rel_q.empty());
+            EXPECT_EQ(ctx.cpa_makespan_q, 0.0);
+          }
+        }
+      }
+}
+
+TEST(Deadline, ContextForAnotherAlgorithmThrows) {
+  // A context holds only what its own algorithm reads (context_needs), so
+  // handing it to an algorithm that reads more is a caller error, reported
+  // rather than read past the end of an empty vector.
+  using core::DlAlgo;
+  Fixture fx(59);
+  const int p = fx.profile.capacity();
+  const DlAlgo all[] = {DlAlgo::kBdAll,       DlAlgo::kBdCpa,
+                        DlAlgo::kBdCpar,      DlAlgo::kRcCpa,
+                        DlAlgo::kRcCpar,      DlAlgo::kRcCparLambda,
+                        DlAlgo::kRcbdCparLambda};
+  for (DlAlgo built : all)
+    for (DlAlgo used : all) {
+      SCOPED_TRACE(testing::Message() << "built for " << core::to_string(built)
+                                      << ", used by "
+                                      << core::to_string(used));
+      core::DeadlineParams params;
+      params.algo = built;
+      const auto ctx = core::make_deadline_context(fx.dag, p, fx.q_hist,
+                                                   params);
+      const core::ContextNeeds have = core::context_needs(built);
+      const core::ContextNeeds need = core::context_needs(used);
+      const bool covered =
+          (have.alloc_p || !need.alloc_p) &&
+          (need.guidelines == core::GuidelineSet::kNone ||
+           need.guidelines == have.guidelines);
+      params.algo = used;
+      auto run = [&] {
+        return core::schedule_deadline(fx.dag, fx.profile, fx.now, fx.q_hist,
+                                       fx.comfortable_deadline, params, ctx);
+      };
+      if (covered)
+        EXPECT_TRUE(run().feasible);
+      else
+        EXPECT_THROW(run(), resched::Error);
+    }
 }
 
 class TightestDeadlineAlgos : public ::testing::TestWithParam<core::DlAlgo> {};

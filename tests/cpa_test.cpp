@@ -1,9 +1,13 @@
 // Unit and property tests for the CPA algorithm (paper §4.2): allocation
 // phase invariants, the original vs improved stopping criterion, the
-// mapping phase (list scheduling), and sub-DAG guideline schedules.
+// mapping phase (list scheduling), and sub-DAG guideline schedules — plus a
+// differential test of the allocation loop against the straightforward
+// sweep-per-grant formulation it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 
 #include "src/cpa/cpa.hpp"
@@ -108,6 +112,111 @@ TEST(CpaAllocations, ValidatesArguments) {
   EXPECT_THROW(cpa::allocations(d, 0), resched::Error);
 }
 
+/// The straightforward allocation loop — full exec-time, bottom-level and
+/// top-level sweeps through the dag:: helpers on every grant, each
+/// candidate's gain derived afresh — kept verbatim as the differential
+/// oracle for cpa::allocations.
+std::vector<int> reference_allocations(const dag::Dag& dag, int q,
+                                       const cpa::Options& opts) {
+  RESCHED_CHECK(q >= 1, "need at least one processor");
+  const int n = dag.size();
+  std::vector<int> alloc(static_cast<std::size_t>(n), 1);
+
+  // Per-task allocation caps: the improved criterion reserves each task its
+  // fair share of q among the tasks of its precedence level.
+  std::vector<int> cap(static_cast<std::size_t>(n), q);
+  if (opts.criterion == cpa::Criterion::kImproved) {
+    std::vector<int> level_width(static_cast<std::size_t>(dag.num_levels()),
+                                 0);
+    for (int lvl : dag.levels()) ++level_width[static_cast<std::size_t>(lvl)];
+    for (int v = 0; v < n; ++v) {
+      int w = level_width[static_cast<std::size_t>(
+          dag.levels()[static_cast<std::size_t>(v)])];
+      cap[static_cast<std::size_t>(v)] = std::max(
+          1, std::min(q, (q + w - 1) / w));
+    }
+  }
+
+  // Average area, maintained incrementally as allocations grow.
+  double area = 0.0;
+  for (int v = 0; v < n; ++v) area += dag::work(dag.cost(v), 1);
+  double t_a = area / static_cast<double>(q);
+
+  std::vector<double> exec, bl, tl;
+  dag::exec_times_into(dag, alloc, exec);
+  while (true) {
+    dag::bottom_levels_into(dag, exec, bl);
+    double t_cp = *std::max_element(bl.begin(), bl.end());
+    if (t_cp <= t_a) break;
+
+    dag::top_levels_into(dag, exec, tl);
+    double tol = 1e-9 * std::max(1.0, t_cp);
+    int best = -1;
+    double best_gain = 0.0;
+    for (int v : dag.topological_order()) {
+      auto vi = static_cast<std::size_t>(v);
+      if (tl[vi] + bl[vi] < t_cp - tol) continue;  // off every critical path
+      if (alloc[vi] >= cap[vi]) continue;
+      double cur = exec[vi];  // == dag::exec_time(dag.cost(v), alloc[vi])
+      double nxt = dag::exec_time(dag.cost(v), alloc[vi] + 1);
+      double gain = cur <= 0.0 ? 0.0 : (cur - nxt) / cur;
+      if (best < 0 || gain > best_gain ||
+          (gain == best_gain && bl[vi] > bl[static_cast<std::size_t>(best)])) {
+        best = v;
+        best_gain = gain;
+      }
+    }
+    if (best < 0 || best_gain <= 0.0) break;  // saturated: no useful growth
+
+    auto bi = static_cast<std::size_t>(best);
+    t_a += (dag::work(dag.cost(best), alloc[bi] + 1) -
+            dag::work(dag.cost(best), alloc[bi])) /
+           static_cast<double>(q);
+    ++alloc[bi];
+    exec[bi] = dag::exec_time(dag.cost(best), alloc[bi]);
+  }
+  return alloc;
+}
+
+/// Copy of `d` whose tasks draw alpha = 0 (perfectly parallel) or alpha = 1
+/// (no speedup: every grant has zero gain) with probability 1/4 each.
+Dag with_extreme_alphas(const Dag& d, util::Rng& rng) {
+  std::vector<TaskCost> costs;
+  std::vector<std::pair<int, int>> edges;
+  for (int v = 0; v < d.size(); ++v) {
+    TaskCost c = d.cost(v);
+    const double u = rng.uniform(0.0, 1.0);
+    if (u < 0.25) c.alpha = 0.0;
+    else if (u < 0.5) c.alpha = 1.0;
+    costs.push_back(c);
+    for (int s : d.successors(v)) edges.emplace_back(v, s);
+  }
+  return Dag(std::move(costs), edges);
+}
+
+TEST(CpaAllocations, MatchesReferenceLoop) {
+  util::Rng rng(77);
+  std::vector<Dag> dags{chain(1), chain(2), chain(7), fork_join(1),
+                        fork_join(9), fork_join(40, 3600.0, 0.0),
+                        fork_join(5, 3600.0, 1.0)};
+  for (int n : {3, 10, 30, 100}) {
+    for (int rep = 0; rep < 2; ++rep) {
+      dag::DagSpec spec;
+      spec.num_tasks = n;
+      Dag d = dag::generate(spec, rng);
+      dags.push_back(with_extreme_alphas(d, rng));
+      dags.push_back(std::move(d));
+    }
+  }
+  for (const Dag& d : dags)
+    for (int q : {1, 2, 7, 64, 430, 1152})
+      for (auto crit : {cpa::Criterion::kOriginal, cpa::Criterion::kImproved})
+        EXPECT_EQ(cpa::allocations(d, q, {crit}),
+                  reference_allocations(d, q, {crit}))
+            << "n=" << d.size() << " q=" << q << " criterion="
+            << static_cast<int>(crit);
+}
+
 TEST(ListSchedule, RespectsPrecedenceAndCapacity) {
   util::Rng rng(7);
   for (int trial = 0; trial < 5; ++trial) {
@@ -203,16 +312,44 @@ TEST(CpaSchedule, MoreProcessorsNeverHurtMuch) {
   EXPECT_LT(m64, 1.5 * m8);
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 TEST(SubdagGuideline, FullMaskMatchesFullSchedule) {
+  // Bit for bit: the deadline context's k = 0 guideline list-schedules the
+  // original DAG instead of the full-mask sub-DAG. The reversed-edge copies
+  // give every task a predecessor list in a different order from the
+  // rebuilt sub-DAG's.
   util::Rng rng(10);
-  dag::Dag d = dag::generate(dag::DagSpec{}, rng);
-  std::vector<bool> keep(static_cast<std::size_t>(d.size()), true);
-  auto guide = cpa::subdag_guideline(d, keep, 32);
-  auto sched = cpa::schedule(d, 32, 0.0);
-  EXPECT_NEAR(guide.makespan, sched.makespan, 1e-9);
-  for (int v = 0; v < d.size(); ++v)
-    EXPECT_NEAR(guide.start[static_cast<std::size_t>(v)],
-                sched.placements[static_cast<std::size_t>(v)].start, 1e-9);
+  std::vector<Dag> dags;
+  dags.push_back(dag::generate(dag::DagSpec{}, rng));
+  dags.push_back(chain(1));
+  dags.push_back(chain(4));
+  dags.push_back(fork_join(6));
+  for (int n : {10, 40, 100}) {
+    dag::DagSpec spec;
+    spec.num_tasks = n;
+    Dag d = dag::generate(spec, rng);
+    std::vector<TaskCost> costs;
+    std::vector<std::pair<int, int>> edges;
+    for (int v = 0; v < d.size(); ++v) {
+      costs.push_back(d.cost(v));
+      for (int s : d.successors(v)) edges.emplace_back(v, s);
+    }
+    std::reverse(edges.begin(), edges.end());
+    dags.push_back(std::move(d));
+    dags.emplace_back(std::move(costs), edges);
+  }
+  for (const Dag& d : dags)
+    for (int q : {1, 7, 32, 64, 430}) {
+      std::vector<bool> keep(static_cast<std::size_t>(d.size()), true);
+      auto guide = cpa::subdag_guideline(d, keep, q);
+      auto sched = cpa::schedule(d, q, 0.0);
+      EXPECT_EQ(bits(guide.makespan), bits(sched.makespan));
+      for (int v = 0; v < d.size(); ++v)
+        EXPECT_EQ(bits(guide.start[static_cast<std::size_t>(v)]),
+                  bits(sched.placements[static_cast<std::size_t>(v)].start))
+            << "n=" << d.size() << " q=" << q << " task " << v;
+    }
 }
 
 TEST(SubdagGuideline, DroppedTasksAreMarked) {

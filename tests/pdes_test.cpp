@@ -347,8 +347,9 @@ std::string read_file(const std::string& path) {
 }
 
 /// A pipelined client's flush: bursts of same-timestamp deadline submits
-/// (the case the batched floor precomputation accelerates) mixed with
-/// undated submits, status reads, cancels, and counter-offer accepts.
+/// (several admissions in one flush, each against the calendar the ones
+/// before it left) mixed with undated submits, status reads, cancels, and
+/// counter-offer accepts.
 std::vector<srv::proto::Request> batch_script(int jobs) {
   std::vector<srv::proto::Request> script;
   for (int j = 1; j <= jobs; ++j) {
@@ -392,11 +393,12 @@ std::vector<srv::proto::Request> batch_script(int jobs) {
   return script;
 }
 
-/// Satellite contract of the batched admission path: apply_batch must be
+/// Contract of the batched admission path: apply_batch must be
 /// byte-identical to one-by-one apply — same encoded responses in the same
 /// order, same WAL bytes, same shutdown artifacts — no matter how the
-/// stream is chopped into flushes. The floor hints may only skip provably
-/// infeasible full admission passes, never change an outcome.
+/// stream is chopped into flushes. A batch only shares the core-lock
+/// acquisition and the WAL flush; every request is admitted against the
+/// live calendar exactly as apply() admits it.
 TEST(SrvBatch, ApplyBatchMatchesSerialApplyByteForByte) {
   const std::vector<srv::proto::Request> script = batch_script(24);
 
@@ -416,8 +418,8 @@ TEST(SrvBatch, ApplyBatchMatchesSerialApplyByteForByte) {
     core.finalize();
   }
 
-  // Flush sizes sweep the interesting shapes: singletons (no hints), whole
-  // 4-submit bursts, and a jumbo flush spanning many bursts.
+  // Flush sizes sweep the interesting shapes: singletons, whole 4-submit
+  // bursts, and a jumbo flush spanning many bursts.
   for (const std::size_t flush : {std::size_t{1}, std::size_t{4},
                                   std::size_t{7}, script.size()}) {
     const std::string dir = make_temp_dir();
