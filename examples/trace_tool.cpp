@@ -1,5 +1,6 @@
 // Workload trace utility: generate, inspect, and convert the batch logs
-// behind the paper's evaluation (§3.2, Tables 2-3).
+// behind the paper's evaluation (§3.2, Tables 2-3). Replaying a log through
+// the schedulers is examples/replay.
 //
 // Usage:
 //   trace_tool stats [swf-file]     Table 3 metrics for a log (default:
@@ -10,23 +11,6 @@
 //   trace_tool resv <platform> <phi> <linear|expo|real>
 //                                   sample a reservation schedule and print
 //                                   its per-day reservation counts
-//   trace_tool replay <platform|log.swf> [options]
-//                                   replay the workload through the online
-//                                   scheduling engine with tracing and
-//                                   metrics on; writes a Chrome-trace JSON
-//                                   (open in Perfetto / chrome://tracing)
-//                                   and a metrics JSONL dump, then prints
-//                                   the metrics summary table.
-//     --jobs N            truncate the stream to N jobs (default 100)
-//     --tasks N           tasks per submitted DAG (default 8)
-//     --deadline-frac F   fraction of jobs with deadlines (default 0.3)
-//     --trace PATH        Chrome-trace output (default trace.json)
-//     --metrics PATH      metrics JSONL output (default metrics.jsonl)
-//     --seed N            DAG / deadline generation seed (default 42)
-//     --shards N          replay through the sharded service (DESIGN.md §9)
-//                         instead of one engine; prints the per-shard
-//                         roll-up table and exports shard.<id>.* metrics
-//     --threads N         worker threads for the sharded replay (default 1)
 //   trace_tool merge_traces <out.jsonl> <in.jsonl>...
 //                                   merge per-shard engine traces (JSONL,
 //                                   src/online/trace.hpp schema) into one
@@ -39,15 +23,10 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/obs/obs.hpp"
-#include "src/online/replay.hpp"
-#include "src/online/service.hpp"
 #include "src/online/trace.hpp"
-#include "src/shard/sharded_service.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
 #include "src/workload/stats.hpp"
@@ -134,11 +113,6 @@ int cmd_resv(int argc, char** argv) {
   return 0;
 }
 
-bool is_platform(const std::string& name) {
-  return name == "ctc" || name == "osc" || name == "blue" || name == "ds" ||
-         name == "g5k";
-}
-
 int cmd_merge_traces(int argc, char** argv) {
   if (argc < 4)
     throw resched::Error(
@@ -168,142 +142,6 @@ int cmd_merge_traces(int argc, char** argv) {
   return 0;
 }
 
-int cmd_replay(int argc, char** argv) {
-  if (argc < 3)
-    throw resched::Error(
-        "usage: trace_tool replay <platform|log.swf> [--jobs N] [--tasks N] "
-        "[--deadline-frac F] [--trace PATH] [--metrics PATH] [--seed N] "
-        "[--shards N] [--threads N]");
-  std::string source = argv[2];
-  std::string trace_path = "trace.json";
-  std::string metrics_path = "metrics.jsonl";
-  online::ReplaySpec spec;
-  spec.app.num_tasks = 8;
-  spec.app.min_seq_time = 60.0;
-  spec.app.max_seq_time = 3600.0;
-  spec.deadline_fraction = 0.3;
-  spec.deadline_slack = 3.0;
-  spec.max_jobs = 100;
-  spec.seed = 42;
-  int shards = 0;  // 0 = single engine
-  int threads = 1;
-
-  for (int i = 3; i < argc; ++i) {
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc)
-        throw resched::Error(std::string("missing value for ") + argv[i]);
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--jobs"))
-      spec.max_jobs = std::atoi(value());
-    else if (!std::strcmp(argv[i], "--tasks"))
-      spec.app.num_tasks = std::atoi(value());
-    else if (!std::strcmp(argv[i], "--deadline-frac"))
-      spec.deadline_fraction = std::atof(value());
-    else if (!std::strcmp(argv[i], "--trace"))
-      trace_path = value();
-    else if (!std::strcmp(argv[i], "--metrics"))
-      metrics_path = value();
-    else if (!std::strcmp(argv[i], "--seed"))
-      spec.seed = static_cast<std::uint64_t>(std::atoll(value()));
-    else if (!std::strcmp(argv[i], "--shards"))
-      shards = std::atoi(value());
-    else if (!std::strcmp(argv[i], "--threads"))
-      threads = std::atoi(value());
-    else
-      throw resched::Error(std::string("unknown option ") + argv[i]);
-  }
-
-  workload::Log log;
-  if (is_platform(source)) {
-    util::Rng rng(1);
-    log = workload::generate_log(spec_for(source), rng);
-  } else {
-    log = workload::read_swf_file(source);
-  }
-  std::printf("workload: %s — %zu jobs on %d processors\n", log.name.c_str(),
-              log.jobs.size(), log.cpus);
-
-  if (shards < 0 || threads < 1 ||
-      (shards > 0 && log.cpus % shards != 0))
-    throw resched::Error("--shards must be >= 1 and divide the platform "
-                         "size; --threads must be >= 1");
-
-  auto stream = online::submissions_from_log(log, spec);
-
-  online::ServiceConfig config;
-  config.capacity = shards > 0 ? log.cpus / shards : log.cpus;
-  std::optional<online::SchedulerService> solo;
-  std::optional<shard::ShardedService> sharded;
-  if (shards > 0) {
-    shard::ShardedConfig shard_config;
-    shard_config.shards = shards;
-    shard_config.threads = threads;
-    shard_config.service = config;
-    sharded.emplace(shard_config);
-    std::printf("replaying %zu DAG submissions over %d shards x %d procs "
-                "(%d threads)...\n",
-                stream.size(), shards, config.capacity, threads);
-  } else {
-    solo.emplace(config);
-    std::printf("replaying %zu DAG submissions (%d tasks each, %.0f%% with "
-                "deadlines)...\n",
-                stream.size(), spec.app.num_tasks,
-                100.0 * spec.deadline_fraction);
-  }
-
-  obs::registry().reset();
-  obs::set_metrics_enabled(true);
-  obs::Tracer::global().start();
-  for (auto& sub : stream) {
-    if (sharded) sharded->submit(std::move(sub));
-    else solo->submit(std::move(sub));
-  }
-  if (sharded) sharded->run_all();
-  else solo->run_all();
-  obs::Tracer::global().stop();
-  obs::set_metrics_enabled(false);
-
-  {
-    std::ofstream out(trace_path);
-    if (!out) throw resched::Error("cannot open trace file: " + trace_path);
-    obs::Tracer::global().write_chrome_trace(out);
-  }
-  std::size_t span_count = obs::Tracer::global().snapshot().size();
-  std::printf("\nwrote %zu spans to %s (open in https://ui.perfetto.dev)\n",
-              span_count, trace_path.c_str());
-  if (std::uint64_t dropped = obs::Tracer::global().dropped(); dropped > 0)
-    std::printf("  (%llu spans dropped: ring saturated)\n",
-                static_cast<unsigned long long>(dropped));
-
-  obs::MetricsSnapshot snap = obs::registry().snapshot();
-  {
-    std::ofstream out(metrics_path);
-    if (!out)
-      throw resched::Error("cannot open metrics file: " + metrics_path);
-    snap.write_jsonl(out);
-  }
-  std::printf("wrote %zu counters / %zu histograms to %s\n\n",
-              snap.counters.size(), snap.histograms.size(),
-              metrics_path.c_str());
-
-  std::ostringstream table;
-  snap.write_table(table);
-  if (sharded) {
-    // Per-shard roll-up: events, admissions, spill-ins, residual backlog.
-    table << '\n' << sharded->summary_table();
-    shard::ShardedService::Aggregates agg = sharded->aggregates();
-    table << "\ntotal: " << agg.submitted << " submitted, " << agg.accepted
-          << " accepted, " << agg.counter_offered << " counter-offered, "
-          << agg.rejected << " rejected, " << agg.spillovers
-          << " spillovers\n";
-  } else {
-    solo->metrics().summary_table().print(table);
-  }
-  std::printf("%s", table.str().c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -312,7 +150,6 @@ int main(int argc, char** argv) {
       return cmd_stats(argc, argv);
     if (std::strcmp(argv[1], "gen") == 0) return cmd_gen(argc, argv);
     if (std::strcmp(argv[1], "resv") == 0) return cmd_resv(argc, argv);
-    if (std::strcmp(argv[1], "replay") == 0) return cmd_replay(argc, argv);
     if (std::strcmp(argv[1], "merge_traces") == 0)
       return cmd_merge_traces(argc, argv);
     std::fprintf(stderr, "unknown command '%s'\n", argv[1]);

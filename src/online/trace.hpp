@@ -28,10 +28,11 @@
 // round-trips byte-identically — the property the golden-file test in
 // tests/online_trace_test.cpp enforces.
 //
-// JSONL is an edge format: the CLIs and the daemon write it, and
-// trace_tool reads trace files back from disk. In-process consumers (the
-// PDES replay, the sharded daemon, tests) capture TraceRecords directly
-// through a record-sink TraceWriter and never format or parse text.
+// JSONL is an edge format: `replay --trace` and reschedd's shutdown
+// trace.jsonl write it, and `trace_tool merge_traces` reads trace files
+// back from disk. In-process consumers (the PDES replay, the sharded
+// daemon, tests) capture TraceRecords directly through a record-sink
+// TraceWriter and never format or parse text.
 #pragma once
 
 #include <cstdint>

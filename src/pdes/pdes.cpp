@@ -19,9 +19,6 @@ void validate(const PdesConfig& config) {
   RESCHED_CHECK(config.shards >= 1, "pdes replay needs >= 1 shard");
   RESCHED_CHECK(config.threads >= 1, "pdes replay needs >= 1 thread");
   RESCHED_CHECK(config.window > 0.0, "lookahead window must be positive");
-  RESCHED_CHECK(config.queue_depth_weight >= 0.0 &&
-                    config.committed_work_weight >= 0.0,
-                "routing weights must be non-negative");
 }
 
 /// Routing decision shared by the parallel driver and the serial oracle —
@@ -29,29 +26,29 @@ void validate(const PdesConfig& config) {
 /// execution-order bug (those show up as *different frozen state*, which
 /// the differential suite catches through the traces).
 ///
-/// Rank shards by the frozen load score; for a deadline job with the blind
-/// probe enabled, walk candidates in rank order and take the first whose
-/// metered finish-floor probe admits the deadline. Every probe goes
-/// through the opaque BatchScheduler facade — the replay never peeks at a
-/// calendar it wouldn't be allowed to see under the paper's §3.2.2 model.
+/// Rank shards by the frozen load score; for a deadline job, walk
+/// candidates in rank order and take the first whose metered finish-floor
+/// probe admits the deadline. Every probe goes through the opaque
+/// BatchScheduler facade — the replay never peeks at a calendar it
+/// wouldn't be allowed to see under the paper's §3.2.2 model.
 /// When every candidate is provably infeasible the best-ranked shard takes
 /// the job anyway: rejections and counter-offers must come from an engine,
 /// never from the router's estimate.
 ///
-/// `routed_work[s]` accumulates the serial work (proc-seconds) routed to
+/// `routed[s]` accumulates the serial work (proc-seconds) routed to
 /// shard s since the last barrier and joins the frozen reserved area in
-/// the score. Without it a window's arrivals would pile onto whichever
-/// shard looked emptiest when the calendars froze — the per-window +1
-/// queue-depth increments are tiny against typical reserved-area gaps —
-/// and the barrier would then stall on that one shard's advance,
-/// serializing the replay. The accumulator restores balance while staying
-/// pure serial arithmetic: the parallel driver and the oracle walk the
-/// identical sequence.
+/// shard::load_score. Without it a window's arrivals would pile onto
+/// whichever shard looked emptiest when the calendars froze — the
+/// per-window +1 queue-depth increments are tiny against typical
+/// reserved-area gaps — and the barrier would then stall on that one
+/// shard's advance, serializing the replay. The accumulator restores
+/// balance while staying pure serial arithmetic: the parallel engine and
+/// the oracle walk the identical sequence.
 int pick_shard(const online::JobSubmission& job, double wstart,
                const PdesConfig& config,
                const std::vector<const online::SchedulerService*>& engines,
                const std::vector<const resv::AvailabilityProfile*>& calendars,
-               std::vector<double>& routed_work,
+               std::vector<double>& routed,
                std::vector<resv::FitQuery>& queries, PdesStats& stats) {
   int target = -1;
   if (config.shards == 1) {
@@ -60,19 +57,14 @@ int pick_shard(const online::JobSubmission& job, double wstart,
     std::vector<std::pair<double, int>> scored;
     scored.reserve(static_cast<std::size_t>(config.shards));
     for (int s = 0; s < config.shards; ++s) {
+      const auto i = static_cast<std::size_t>(s);
       const double score =
-          config.queue_depth_weight *
-              static_cast<double>(
-                  engines[static_cast<std::size_t>(s)]->queue_size()) +
-          config.committed_work_weight *
-              (calendars[static_cast<std::size_t>(s)]->reserved_area_after(
-                   wstart) +
-               routed_work[static_cast<std::size_t>(s)]);
+          shard::load_score(*engines[i], *calendars[i], wstart, routed[i]);
       scored.emplace_back(score, s);
     }
     std::sort(scored.begin(), scored.end());  // score, then shard id
 
-    if (job.deadline && config.blind_floor_probe) {
+    if (job.deadline) {
       core::finish_floor_queries(job.dag, config.service.capacity, job.submit,
                                  queries);
       for (const auto& [score, s] : scored) {
@@ -95,7 +87,7 @@ int pick_shard(const online::JobSubmission& job, double wstart,
   }
   double work = 0.0;
   for (int v = 0; v < job.dag.size(); ++v) work += job.dag.cost(v).seq_time;
-  routed_work[static_cast<std::size_t>(target)] += work;
+  routed[static_cast<std::size_t>(target)] += work;
   return target;
 }
 

@@ -30,12 +30,15 @@
 //     round trip) and merged under the (time, shard, seq) total order —
 //     the merged trace and all final metrics are byte-identical at every
 //     worker count, including 1.
-//   * Blind routing hook: deadline jobs optionally probe candidate shards
-//     through the metered resv::BatchScheduler facade (the paper's §3.2.2
-//     opaque batch-scheduler model): one earliest-fit probe per task
-//     lower-bounds the job's finish on that shard, and shards whose floor
-//     already exceeds the deadline are skipped without touching their
-//     engines. The probe count is the metered resource (PdesStats).
+//   * Routing: arrivals rank shards by shard::load_score — the lockstep
+//     router's score read at the barrier, plus the work routed to each
+//     shard earlier in the same window.
+//   * Blind routing hook: deadline jobs probe candidate shards through the
+//     metered resv::BatchScheduler facade (the paper's §3.2.2 opaque
+//     batch-scheduler model): one earliest-fit probe per task lower-bounds
+//     the job's finish on that shard, and shards whose floor already
+//     exceeds the deadline are skipped without touching their engines.
+//     The probe count is the metered resource (PdesStats).
 //
 // The differential oracle is serial_replay(): an independent
 // single-threaded implementation of the identical windowed protocol —
@@ -115,22 +118,6 @@ struct PdesConfig {
   double window = 3600.0;
   /// Per-shard engine configuration; capacity is EACH shard's capacity.
   online::ServiceConfig service;
-  /// Routing score of shard s for an arrival at window start t:
-  ///   queue_depth_weight * queue_size(s)
-  ///     + committed_work_weight * (reserved_area_after(s, t)
-  ///                                + work routed to s this window)
-  /// (lower wins, ties by shard id) — shard::RoutingPolicy's formula read
-  /// at the barrier, plus a serial-work accumulator over the window's own
-  /// arrivals so a burst spreads instead of piling onto the shard that
-  /// looked emptiest when the calendars froze (which would serialize the
-  /// barrier advance behind one engine).
-  double queue_depth_weight = 1.0;
-  double committed_work_weight = 1.0 / 3600.0;
-  /// Blind feasibility probe for deadline jobs (metered BatchScheduler
-  /// facade): skip candidate shards whose finish floor provably exceeds
-  /// the deadline. The best-ranked shard still takes the job when every
-  /// candidate is skipped — rejections must come from an engine.
-  bool blind_floor_probe = true;
   std::optional<PdesChaos> chaos;
   /// Capture per-shard traces and return the (time, shard, seq) merge.
   bool capture_trace = true;

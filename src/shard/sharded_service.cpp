@@ -15,6 +15,13 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
+double load_score(const online::SchedulerService& engine,
+                  const resv::AvailabilityProfile& calendar, double t,
+                  double routed_work) {
+  return static_cast<double>(engine.queue_size()) +
+         (1.0 / 3600.0) * (calendar.reserved_area_after(t) + routed_work);
+}
+
 /// One partition: a private calendar and the engine bound to it, plus the
 /// router's per-shard tallies. Immovable (the engine holds a pointer to
 /// its sibling calendar), hence stored behind unique_ptr.
@@ -71,11 +78,6 @@ ShardedService::ShardedService(ShardedConfig config)
       now_(-kInf) {
   RESCHED_CHECK(config_.shards >= 1, "sharded service needs >= 1 shard");
   RESCHED_CHECK(config_.threads >= 1, "sharded service needs >= 1 thread");
-  RESCHED_CHECK(config_.routing.queue_depth_weight >= 0.0 &&
-                    config_.routing.committed_work_weight >= 0.0,
-                "routing weights must be non-negative");
-  RESCHED_CHECK(config_.routing.max_spillover_probes >= 0,
-                "max_spillover_probes must be >= 0");
   shards_.reserve(static_cast<std::size_t>(config_.shards));
   for (int s = 0; s < config_.shards; ++s)
     shards_.push_back(std::make_unique<Shard>(config_.service));
@@ -268,16 +270,11 @@ void ShardedService::route(double t, Pending& p) {
 }
 
 std::vector<int> ShardedService::ranked_shards(double t) const {
-  const RoutingPolicy& policy = config_.routing;
   std::vector<std::pair<double, int>> scored;
   scored.reserve(shards_.size());
   for (int s = 0; s < config_.shards; ++s) {
     const Shard& sh = *shards_[static_cast<std::size_t>(s)];
-    double score =
-        policy.queue_depth_weight *
-            static_cast<double>(sh.engine.queue_size()) +
-        policy.committed_work_weight * sh.calendar.reserved_area_after(t);
-    scored.emplace_back(score, s);
+    scored.emplace_back(load_score(sh.engine, sh.calendar, t), s);
   }
   std::sort(scored.begin(), scored.end());  // score, then shard id
   std::vector<int> order;
@@ -288,8 +285,8 @@ std::vector<int> ShardedService::ranked_shards(double t) const {
 
 void ShardedService::route_reservation(double t, const resv::Reservation& r) {
   // External reservations are commitments, not admission requests: no
-  // spillover, no queue cap — the least-loaded shard absorbs them (its
-  // calendar clamps over-subscription, like a single engine's would).
+  // spillover — the least-loaded shard absorbs them (its calendar clamps
+  // over-subscription, like a single engine's would).
   int target = ranked_shards(t).front();
   Shard& sh = *shards_[static_cast<std::size_t>(target)];
   sh.engine.submit_reservation(t, r);
@@ -297,53 +294,30 @@ void ShardedService::route_reservation(double t, const resv::Reservation& r) {
 }
 
 void ShardedService::route_job(double t, online::JobSubmission job) {
-  const RoutingPolicy& policy = config_.routing;
   RoutingOutcome out;
   out.job_id = job.job_id;
   out.time = t;
-
-  std::vector<int> candidates;
-  for (int s : ranked_shards(t)) {
-    const Shard& sh = *shards_[static_cast<std::size_t>(s)];
-    if (policy.max_queue_depth > 0 &&
-        sh.engine.queue_size() >= policy.max_queue_depth)
-      continue;  // per-shard admission control: backlog full
-    candidates.push_back(s);
-  }
-  if (candidates.empty()) {  // every shard at capacity: router-level reject
-    out.decision = online::Decision::kRejected;
-    record_outcome(out);
-    return;
-  }
+  const std::vector<int> candidates = ranked_shards(t);
   out.first_choice = candidates.front();
-
-  std::size_t limit = 1;
-  if (policy.spillover)
-    limit = policy.max_spillover_probes == 0
-                ? candidates.size()
-                : std::min(candidates.size(),
-                           static_cast<std::size_t>(
-                               1 + policy.max_spillover_probes));
 
   // Floor queries depend on the job, the (uniform) shard capacity, and t —
   // not on any calendar — so the spillover walk builds them once and
   // evaluates them against each candidate's calendar.
-  const bool use_floor = policy.floor_probe && job.deadline && limit > 1;
-  if (use_floor)
+  if (job.deadline)
     core::finish_floor_queries(job.dag, config_.service.capacity, t,
                                floor_queries_);
 
-  for (std::size_t k = 0; k < limit; ++k) {
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
     int s = candidates[k];
     Shard& sh = *shards_[static_cast<std::size_t>(s)];
-    bool last = k + 1 == limit;
+    bool last = k + 1 == candidates.size();
     ++out.probes;
     // Tier 1 — read-only floor probe: when the calendar-aware lower bound
     // already exceeds the deadline, no admission attempt on this shard can
     // accept the request; spill without touching the engine. The last
     // candidate is always tried for real so a counter-offer / rejection
     // comes from an engine, never from the router's estimate.
-    if (!last && use_floor &&
+    if (!last && job.deadline &&
         core::evaluate_finish_floor(floor_queries_, sh.calendar, t) >
             *job.deadline)
       continue;
@@ -364,7 +338,7 @@ void ShardedService::route_job(double t, online::JobSubmission job) {
     out.decision = decided.decision;
     if (decided.decision != online::Decision::kRejected) break;
   }
-  out.spilled = out.shard >= 0 && out.shard != out.first_choice;
+  out.spilled = out.shard != out.first_choice;
   record_outcome(out);
 }
 
@@ -383,12 +357,11 @@ void ShardedService::record_outcome(const RoutingOutcome& outcome) {
   }
   if (outcome.spilled) {
     ++aggregates_.spillovers;
-    if (outcome.shard >= 0)
-      ++shards_[static_cast<std::size_t>(outcome.shard)]->spill_in;
+    ++shards_[static_cast<std::size_t>(outcome.shard)]->spill_in;
   }
   routing_.push_back(outcome);
 #ifndef RESCHED_OBS_DISABLED
-  if (obs::metrics_enabled() && outcome.shard >= 0) {
+  if (obs::metrics_enabled()) {
     Shard& sh = *shards_[static_cast<std::size_t>(outcome.shard)];
     sh.resolve_obs(outcome.shard);
     switch (outcome.decision) {

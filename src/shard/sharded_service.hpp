@@ -6,18 +6,20 @@
 // submission stream as a single engine and decides, per arrival, which
 // shard schedules it:
 //
-//   * load-aware selection — shards are ranked by a weighted score of
-//     queue depth (pending engine events) and committed work still ahead
-//     of now (resv::AvailabilityProfile::reserved_area_after); lowest
-//     score wins, ties by shard id;
+//   * load-aware selection — shards are ranked by load_score(): queue
+//     depth (pending engine events) plus committed work still ahead of now
+//     (resv::AvailabilityProfile::reserved_area_after); lowest score wins,
+//     ties by shard id;
 //   * cross-shard spillover — a deadline job is first probed read-only
 //     against the chosen shard's calendar (core::earliest_finish_floor);
 //     if the floor proves the deadline unreachable there, or the shard's
 //     engine rejects the job outright (its internally audited rollback
 //     leaves the calendar untouched), the router retries the next-ranked
-//     shard before giving up;
-//   * per-shard admission control — RoutingPolicy::max_queue_depth caps a
-//     shard's backlog; a job no shard will take is rejected by the router.
+//     shard, down to the last one, whose engine always decides.
+//
+// The router decides per request, which is what reschedd's --shards N mode
+// needs; archive replays route whole windows at a time instead (src/pdes/),
+// through the same load_score().
 //
 // Determinism contract: routing decisions depend only on the submission
 // stream, never on wall-clock or thread identity. Before each decision the
@@ -51,28 +53,15 @@ class Histogram;
 
 namespace resched::shard {
 
-/// Shard-selection knobs. The score of shard s at routing time t is
-///   queue_depth_weight * queue_size(s)
-///     + committed_work_weight * reserved_area_after(s, t)
-/// (lower is better; ties go to the lower shard id).
-struct RoutingPolicy {
-  double queue_depth_weight = 1.0;
-  /// Weight per committed processor-second still ahead of now. The default
-  /// makes one queued event comparable to ~1 processor-hour of backlog.
-  double committed_work_weight = 1.0 / 3600.0;
-  /// Per-shard admission control: a shard whose engine queue holds at
-  /// least this many pending events takes no new submissions. 0 = no cap.
-  std::size_t max_queue_depth = 0;
-  /// Retry lower-ranked shards when the chosen shard cannot take a job.
-  bool spillover = true;
-  /// Shards tried beyond the first choice (0 = every remaining shard).
-  int max_spillover_probes = 0;
-  /// Probe deadline jobs with core::earliest_finish_floor before touching
-  /// the engine — a read-only rejection that skips the full admission
-  /// attempt when the deadline is provably unreachable on that shard.
-  /// Disable to force spillover through real engine rejections (tests).
-  bool floor_probe = true;
-};
+/// Routing score of one shard at time t (lower is better; ties go to the
+/// lower shard id): one pending engine event weighs as much as one
+/// processor-hour of work committed after t. `routed_work` (proc-seconds)
+/// is work already routed to the shard but not yet on its calendar — the
+/// PDES window accumulator; the lockstep router, whose calendars are live,
+/// passes none.
+double load_score(const online::SchedulerService& engine,
+                  const resv::AvailabilityProfile& calendar, double t,
+                  double routed_work = 0.0);
 
 struct ShardedConfig {
   int shards = 1;
@@ -81,7 +70,6 @@ struct ShardedConfig {
   /// Per-shard engine configuration; capacity is the capacity of EACH
   /// shard (the platform has shards * service.capacity processors).
   online::ServiceConfig service;
-  RoutingPolicy routing;
 };
 
 /// The router's record of one multi-shard routing decision (not produced
@@ -178,7 +166,7 @@ class ShardedService {
   std::uint64_t events_processed() const;
 
   /// Per-shard roll-up (events, admissions, spill-ins, backlog) as a
-  /// fixed-width table — trace_tool prints this after a sharded replay.
+  /// fixed-width table — the replay CLI prints this after a run.
   std::string summary_table() const;
 
  private:
@@ -191,7 +179,7 @@ class ShardedService {
   void route(double t, Pending& p);
   void route_job(double t, online::JobSubmission job);
   void route_reservation(double t, const resv::Reservation& r);
-  /// Shards admitting new work, best score first (ties by id).
+  /// Every shard, best load_score() first (ties by id).
   std::vector<int> ranked_shards(double t) const;
   void record_outcome(const RoutingOutcome& outcome);
 

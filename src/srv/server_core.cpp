@@ -63,7 +63,6 @@ ServerCore::ServerCore(ServerCoreConfig config) : config_(std::move(config)) {
     sc.shards = config_.shards;
     sc.threads = 1;
     sc.service = config_.service;
-    sc.routing = config_.routing;
     sharded_ = std::make_unique<shard::ShardedService>(sc);
     const auto n = static_cast<std::size_t>(config_.shards);
     shard_traces_.resize(n);
@@ -265,17 +264,18 @@ bool ServerCore::engine_live(int internal_id) const {
 }
 
 const online::JobOutcome* ServerCore::find_outcome(int internal_id) const {
-  const auto scan =
-      [internal_id](
-          const std::vector<online::JobOutcome>& outs) -> const online::JobOutcome* {
-    for (auto it = outs.rbegin(); it != outs.rend(); ++it)
-      if (it->job_id == internal_id) return &*it;
-    return nullptr;
-  };
-  if (single_) return scan(single_->outcomes());
-  for (int s = 0; s < config_.shards; ++s)
-    if (const online::JobOutcome* o = scan(sharded_->engine(s).outcomes()))
-      return o;
+  const online::SchedulerService* engine = single_.get();
+  if (engine == nullptr) {
+    // A spilled job also holds a rejection on every shard that refused it;
+    // only the router knows which shard decided last.
+    const std::vector<shard::RoutingOutcome>& routed = sharded_->routing();
+    RESCHED_ASSERT(!routed.empty() && routed.back().job_id == internal_id,
+                   "srv: the router has no decision for the job");
+    engine = &sharded_->engine(routed.back().shard);
+  }
+  const std::vector<online::JobOutcome>& outs = engine->outcomes();
+  for (auto it = outs.rbegin(); it != outs.rend(); ++it)
+    if (it->job_id == internal_id) return &*it;
   return nullptr;
 }
 
@@ -355,10 +355,8 @@ proto::Response ServerCore::admit(const proto::Request& effective,
   response.finish = kNaN;
 
   const online::JobOutcome* outcome = find_outcome(internal_id);
-  // No outcome = the sharded router rejected without an engine attempt
-  // (every shard over its queue cap); treat as a plain rejection.
-  const online::Decision decision =
-      outcome != nullptr ? outcome->decision : online::Decision::kRejected;
+  RESCHED_ASSERT(outcome != nullptr, "srv: admission produced no outcome");
+  const online::Decision decision = outcome->decision;
   RESCHED_ASSERT(decision != online::Decision::kCounterOffered,
                  "daemon engines run kRejectInfeasible");
 

@@ -63,7 +63,6 @@ struct ServerCoreConfig {
   /// shards (service.capacity procs EACH).
   int shards = 1;
   online::ServiceConfig service;
-  shard::RoutingPolicy routing;  ///< shards > 1 only
   /// Durable-state directory (WAL, snapshot, shutdown artifacts). Empty =
   /// fully ephemeral daemon: no WAL, no recovery.
   std::string state_dir;
@@ -146,6 +145,8 @@ class ServerCore {
   bool engine_cancel(double t, int job_id);
   void engine_run_until(double t);
   bool engine_live(int internal_id) const;
+  /// The admission outcome of the job just routed: the single engine's,
+  /// or that of the shard holding the router's final decision.
   const online::JobOutcome* find_outcome(int internal_id) const;
 
   double clamp_time(double t) const;

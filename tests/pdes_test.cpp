@@ -210,6 +210,56 @@ TEST(PdesDifferential, OneShardWideWindowMatchesPlainEngine) {
   EXPECT_EQ(got.aggregates.accepted, plain.metrics().accepted());
 }
 
+/// FNV-1a (64-bit) over the merged trace's JSONL bytes, one '\n' after
+/// each record: a compact fingerprint of a whole replay.
+std::uint64_t trace_hash(const std::vector<online::TraceRecord>& trace) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const online::TraceRecord& r : trace)
+    for (const char c : online::to_json_line(r) + '\n') {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ull;
+    }
+  return h;
+}
+
+/// PdesReplayEngine and the oracle call the same pick_shard, so the
+/// differential suite cannot see a routing change. These literals pin the
+/// routing itself: where each job lands, the probes spent, and the trace
+/// the placements produce, under both admission policies.
+TEST(PdesRouting, PinnedPlacementsProbesAndTrace) {
+  struct Leg {
+    online::AdmissionPolicy policy;
+    std::vector<int> submitted;  ///< per shard
+    std::uint64_t blind_probes, floor_skips, windows, events, hash;
+  };
+  const Leg legs[] = {
+      {online::AdmissionPolicy::kCounterOffer, {37, 31, 27, 25}, 786, 44, 27,
+       1560, 17232572395972151378ull},
+      {online::AdmissionPolicy::kRejectInfeasible, {34, 33, 27, 26}, 786, 44,
+       27, 384, 3787285036426434498ull},
+  };
+  const workload::Log log = dense_log();
+  online::ReplaySpec spec = replay_spec(42);
+  spec.deadline_fraction = 0.8;
+  spec.deadline_slack = 0.1;  // tight enough for floor skips
+  for (const Leg& leg : legs) {
+    pdes::PdesConfig config = pdes_config(4, 2, 3600.0);
+    config.service.admission = leg.policy;
+    pdes::LogSource source(log, spec);
+    pdes::PdesReplayEngine engine(config);
+    const pdes::PdesResult got = engine.run(source);
+    std::vector<int> submitted;
+    for (int s = 0; s < 4; ++s)
+      submitted.push_back(engine.service().engine(s).metrics().submitted());
+    EXPECT_EQ(submitted, leg.submitted);
+    EXPECT_EQ(got.stats.blind_probes, leg.blind_probes);
+    EXPECT_EQ(got.stats.floor_skips, leg.floor_skips);
+    EXPECT_EQ(got.stats.windows, leg.windows);
+    EXPECT_EQ(got.stats.events, leg.events);
+    EXPECT_EQ(trace_hash(got.trace), leg.hash);
+  }
+}
+
 // --- streaming SWF reader ---------------------------------------------------
 
 std::string swf_line(int id, double submit, double run, int procs) {

@@ -9,10 +9,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/dag/dag.hpp"
@@ -206,16 +208,19 @@ TEST(ShardedService, OneShardIsByteIdenticalToStandaloneEngine) {
 
 // --- Routing + spillover -----------------------------------------------------
 
-/// Two equal shards with load-blind scoring (all weights zero), so ties
-/// send every job to shard 0 first — the spillover paths are then driven
-/// purely by shard 0's feasibility.
-ShardedConfig two_shard_tie_config(ServiceConfig service) {
+ShardedConfig two_shard_config(ServiceConfig service) {
   ShardedConfig config;
   config.shards = 2;
   config.service = service;
-  config.routing.queue_depth_weight = 0.0;
-  config.routing.committed_work_weight = 0.0;
   return config;
+}
+
+/// Gives shard 1 more committed work than shard 0 will hold, far enough in
+/// the future not to block anything: shard 0 then ranks first for every
+/// early arrival, and the spillover paths are driven purely by shard 0's
+/// feasibility.
+void load_shard_one_far_ahead(ShardedService& svc) {
+  svc.engine(1).submit_reservation(0.0, {20000.0, 40000.0, 8});
 }
 
 TEST(ShardedService, RoutesToLeastLoadedShard) {
@@ -236,8 +241,9 @@ TEST(ShardedService, RoutesToLeastLoadedShard) {
 }
 
 TEST(ShardedService, FloorProbeSpillsDeadlineJobOffBlockedShard) {
-  ShardedService svc(two_shard_tie_config(shard_config(8)));
-  // Shard 0 fully blocked until t=10000; shard 1 idle.
+  ShardedService svc(two_shard_config(shard_config(8)));
+  load_shard_one_far_ahead(svc);
+  // Shard 0 fully blocked until t=10000; shard 1 idle until t=20000.
   svc.engine(0).submit_reservation(0.0, {0.0, 10000.0, 8});
   svc.run_until(0.0);
   svc.submit({0, 10.0, one_task_dag(600.0), 5000.0});
@@ -260,20 +266,23 @@ TEST(ShardedService, FloorProbeSpillsDeadlineJobOffBlockedShard) {
 }
 
 TEST(ShardedService, EngineRejectionSpillsAndRollbackLeavesCalendarsClean) {
-  // Disable the floor probe so spillover happens through a real engine
-  // rejection, exercising the audited commit-or-rollback path.
+  // A two-task chain whose finish floor on shard 0 (busy until t=1000)
+  // meets the deadline but whose schedule there cannot: the floor probe
+  // passes, so spillover happens through a real engine rejection,
+  // exercising the audited commit-or-rollback path.
   ServiceConfig service = shard_config(8);
   service.admission = online::AdmissionPolicy::kRejectInfeasible;
   service.audit_rollback = true;
-  ShardedConfig config = two_shard_tie_config(service);
-  config.routing.floor_probe = false;
-  ShardedService svc(config);
+  ShardedService svc(two_shard_config(service));
+  load_shard_one_far_ahead(svc);
 
-  svc.engine(0).submit_reservation(0.0, {0.0, 10000.0, 8});
+  svc.engine(0).submit_reservation(0.0, {0.0, 1000.0, 8});
   svc.run_until(0.0);
   auto shard0_before = svc.calendar(0).canonical_steps();
 
-  svc.submit({0, 10.0, one_task_dag(600.0), 5000.0});
+  const std::pair<int, int> chain[] = {{0, 1}};
+  svc.submit({0, 10.0, dag::Dag({{600.0, 0.0}, {600.0, 0.0}}, chain),
+              1100.0});
   svc.run_until(10.0);
 
   ASSERT_EQ(svc.routing().size(), 1u);
@@ -293,24 +302,6 @@ TEST(ShardedService, EngineRejectionSpillsAndRollbackLeavesCalendarsClean) {
   EXPECT_EQ(svc.aggregates().submitted, 1);
   EXPECT_EQ(svc.aggregates().accepted, 1);
   EXPECT_EQ(svc.aggregates().rejected, 0);
-}
-
-TEST(ShardedService, RejectsWhenEveryShardBacklogIsFull) {
-  ShardedConfig config = two_shard_tie_config(shard_config(8));
-  config.routing.max_queue_depth = 1;  // any pending event fills a shard
-  ShardedService svc(config);
-  // Give both shards a future event so both backlogs read >= 1.
-  svc.engine(0).submit_reservation(0.0, {100.0, 200.0, 2});
-  svc.engine(1).submit_reservation(0.0, {100.0, 200.0, 2});
-  svc.run_until(0.0);
-  svc.submit({0, 1.0, one_task_dag(60.0), std::nullopt});
-  svc.run_until(1.0);
-  ASSERT_EQ(svc.routing().size(), 1u);
-  EXPECT_EQ(svc.routing()[0].shard, -1);  // router-level rejection
-  EXPECT_EQ(svc.routing()[0].decision, Decision::kRejected);
-  EXPECT_EQ(svc.aggregates().rejected, 1);
-  EXPECT_EQ(svc.engine(0).metrics().submitted(), 0);
-  EXPECT_EQ(svc.engine(1).metrics().submitted(), 0);
 }
 
 // --- Determinism across thread counts ---------------------------------------
@@ -355,6 +346,58 @@ TEST(ShardedService, MergedTracesAreIdenticalForAnyThreadCount) {
   EXPECT_EQ(four_threads_a, four_threads_b);  // run-to-run deterministic
 }
 
+/// FNV-1a (64-bit) over the merged trace's JSONL bytes, one '\n' after
+/// each record: a compact fingerprint of a whole replay.
+std::uint64_t trace_hash(const std::vector<TraceRecord>& trace) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const TraceRecord& r : trace)
+    for (const char c : online::to_json_line(r) + '\n') {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ull;
+    }
+  return h;
+}
+
+/// Pins the lockstep router's decisions on a tight-deadline replay: the
+/// final tallies, the spillovers, every engine attempt per shard, and the
+/// merged trace those placements produce.
+TEST(ShardedService, PinnedRoutingOfATightDeadlineReplay) {
+  workload::Log log = shard_log(80, 120.0, 64);
+  online::ReplaySpec spec = shard_replay_spec();
+  spec.deadline_fraction = 0.8;
+  spec.deadline_slack = 0.2;  // tight enough for engine rejections
+  ShardedConfig config;
+  config.shards = 4;
+  config.threads = 2;
+  config.service = shard_config(16);
+  config.service.admission = online::AdmissionPolicy::kRejectInfeasible;
+  ShardedService svc(config);
+  std::vector<std::vector<TraceRecord>> per_shard(4);
+  std::vector<TraceWriter> writers;
+  writers.reserve(4);
+  for (int s = 0; s < 4; ++s) {
+    writers.emplace_back(per_shard[static_cast<std::size_t>(s)], s);
+    svc.engine(s).set_trace(&writers.back());
+  }
+  for (const JobSubmission& sub : online::submissions_from_log(log, spec))
+    svc.submit(sub);
+  svc.run_all();
+
+  const ShardedService::Aggregates agg = svc.aggregates();
+  EXPECT_EQ(agg.submitted, 80);
+  EXPECT_EQ(agg.accepted, 68);
+  EXPECT_EQ(agg.counter_offered, 0);
+  EXPECT_EQ(agg.rejected, 12);
+  EXPECT_EQ(agg.spillovers, 12);
+  std::vector<int> submitted;
+  for (int s = 0; s < 4; ++s)
+    submitted.push_back(svc.engine(s).metrics().submitted());
+  EXPECT_EQ(submitted, (std::vector<int>{37, 35, 27, 16}));
+  for (int s = 0; s < 4; ++s) svc.engine(s).set_trace(nullptr);
+  EXPECT_EQ(trace_hash(online::merge_traces(std::move(per_shard))),
+            14487704591011564738ull);
+}
+
 TEST(MergeTraces, OrdersByTimeShardSeqAndTagsUntaggedInputs) {
   std::vector<TraceRecord> shard0 = {
       {0, 10.0, "submit", 1, -1, 0, 0.0, -1},  // untagged: inherits shard 0
@@ -381,7 +424,7 @@ TEST(MergeTraces, OrdersByTimeShardSeqAndTagsUntaggedInputs) {
 // --- ft isolation ------------------------------------------------------------
 
 TEST(ShardedService, RepairingShardANeverMutatesShardB) {
-  ShardedService svc(two_shard_tie_config(shard_config(8)));
+  ShardedService svc(two_shard_config(shard_config(8)));
   // ServiceAccess must resolve each engine's own bound calendar.
   EXPECT_EQ(&ft::ServiceAccess::profile(svc.engine(0)), &svc.calendar(0));
   EXPECT_EQ(&ft::ServiceAccess::profile(svc.engine(1)), &svc.calendar(1));

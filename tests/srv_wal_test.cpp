@@ -321,3 +321,48 @@ TEST(SrvWal, InProcessRecoverMatchesLiveRun) {
   EXPECT_EQ(recovered.trace, live.trace);
   EXPECT_EQ(recovered.calendar, live.calendar);
 }
+
+/// A spilled job is answered with the decision of the shard that took it.
+/// Job 3's finish floor passes on shard 0 (first choice, busy until 1000)
+/// but its chain cannot finish there by 1100, so shard 0's engine rejects
+/// it and the router spills it to shard 1, which accepts.
+TEST(SrvShards, SpilledJobGetsTheAcceptingShardsDecisionAndWindow) {
+  ServerCoreConfig config;
+  config.shards = 2;
+  config.service.capacity = 8;
+  ServerCore core(config);
+  core.recover();
+  const auto submit = [&core](int job, double t, Dag dag,
+                              std::optional<double> deadline) {
+    proto::Request request;
+    request.verb = proto::Verb::kSubmit;
+    request.job_id = job;
+    request.time = t;
+    request.dag = std::move(dag);
+    request.deadline = deadline;
+    return core.apply(request);
+  };
+  EXPECT_EQ(submit(1, 0.0, Dag({{8000.0, 0.0}}, {}), std::nullopt).state,
+            "accepted");
+  EXPECT_EQ(submit(2, 0.0, Dag({{160000.0, 0.0}}, {}), 40000.0).state,
+            "accepted");
+  const std::pair<int, int> chain[] = {{0, 1}};
+  const proto::Response spilled =
+      submit(3, 10.0, Dag({{600.0, 0.0}, {600.0, 0.0}}, chain), 1100.0);
+  EXPECT_TRUE(spilled.ok);
+  EXPECT_EQ(spilled.state, "accepted");
+  EXPECT_EQ(spilled.start, 200.0);
+  EXPECT_EQ(spilled.finish, 1100.0);
+  const proto::ServerStats stats = core.stats();
+  EXPECT_EQ(stats.accepted, 3);
+  EXPECT_EQ(stats.rejected, 0);
+
+  // An accepted job is cancellable on the shard that holds it.
+  proto::Request cancel;
+  cancel.verb = proto::Verb::kCancel;
+  cancel.job_id = 3;
+  cancel.time = 20.0;
+  const proto::Response cancelled = core.apply(cancel);
+  EXPECT_TRUE(cancelled.ok) << cancelled.error;
+  EXPECT_EQ(cancelled.state, "cancelled");
+}
