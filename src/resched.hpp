@@ -39,13 +39,13 @@
 #include "src/sim/experiment.hpp"
 #include "src/sim/gantt.hpp"
 #include "src/sim/metrics.hpp"
-#include "src/sim/runner.hpp"
 #include "src/sim/scenario.hpp"
 #include "src/sim/table.hpp"
 #include "src/util/env.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
+#include "src/util/worker_pool.hpp"
 #include "src/workload/log.hpp"
 #include "src/workload/stats.hpp"
 #include "src/workload/swf.hpp"

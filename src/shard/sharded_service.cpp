@@ -39,16 +39,23 @@ struct ShardedService::Shard {
   std::int64_t last_advance_ns = 0;
   /// Lazily resolved `shard.<id>.*` handles (router thread only; workers
   /// never touch the registry, per the DESIGN.md §7 overhead contract).
-  bool obs_ready = false;
+  /// Each group is registered where it is recorded: every lockstep
+  /// advance records the latency, only the lockstep router's decisions
+  /// record the rest, so a PDES replay lists the latency alone.
+  obs::Histogram* obs_advance = nullptr;
   obs::Counter* obs_accepted = nullptr;
   obs::Counter* obs_counter_offered = nullptr;
   obs::Counter* obs_rejected = nullptr;
   obs::Counter* obs_spill_in = nullptr;
   obs::Histogram* obs_queue_depth = nullptr;
-  obs::Histogram* obs_advance = nullptr;
 
-  void resolve_obs(int id) {
-    if (obs_ready) return;
+  void resolve_advance_obs(int id) {
+    if (obs_advance != nullptr) return;
+    obs_advance = &obs::registry().histogram("shard." + std::to_string(id) +
+                                             ".event_latency_ns");
+  }
+  void resolve_router_obs(int id) {
+    if (obs_accepted != nullptr) return;
     std::string prefix = "shard." + std::to_string(id) + ".";
     obs::MetricsRegistry& reg = obs::registry();
     obs_accepted = &reg.counter(prefix + "accepted");
@@ -56,20 +63,11 @@ struct ShardedService::Shard {
     obs_rejected = &reg.counter(prefix + "rejected");
     obs_spill_in = &reg.counter(prefix + "spill_in");
     obs_queue_depth = &reg.histogram(prefix + "queue_depth");
-    obs_advance = &reg.histogram(prefix + "event_latency_ns");
-    obs_ready = true;
   }
 #endif
 
   explicit Shard(const online::ServiceConfig& cfg)
       : calendar(cfg.capacity), engine(cfg, calendar) {}
-};
-
-/// One arrival waiting in the router queue: a job or (exclusively) an
-/// external reservation.
-struct ShardedService::Pending {
-  std::optional<online::JobSubmission> job;
-  std::optional<resv::Reservation> resv;
 };
 
 ShardedService::ShardedService(ShardedConfig config)
@@ -119,32 +117,7 @@ void ShardedService::submit(online::JobSubmission job) {
     return;
   }
   double time = job.submit;
-  Pending p;
-  p.job = std::move(job);
-  pending_.emplace(std::make_pair(time, arrival_seq_++), std::move(p));
-}
-
-void ShardedService::submit_reservation(double arrival,
-                                        const resv::Reservation& r) {
-  RESCHED_CHECK(arrival >= now_, "reservation arrival in the router's past");
-  RESCHED_CHECK(r.start >= arrival,
-                "external reservation must start at or after its arrival");
-  RESCHED_CHECK(r.start < r.end, "reservation must have positive duration");
-  RESCHED_CHECK(r.procs >= 1, "reservation must hold processors");
-  if (wal_hook_) {
-    online::SchedulerService::WalOp op;
-    op.kind = online::SchedulerService::WalOp::Kind::kReservation;
-    op.time = arrival;
-    op.resv = &r;
-    wal_hook_(op);
-  }
-  if (config_.shards == 1) {
-    shards_[0]->engine.submit_reservation(arrival, r);
-    return;
-  }
-  Pending p;
-  p.resv = r;
-  pending_.emplace(std::make_pair(arrival, arrival_seq_++), std::move(p));
+  pending_.emplace(std::make_pair(time, arrival_seq_++), std::move(job));
 }
 
 bool ShardedService::cancel_job(double t, int job_id) {
@@ -180,10 +153,10 @@ void ShardedService::run_until(double t) {
   while (!pending_.empty() && pending_.begin()->first.first <= t) {
     auto it = pending_.begin();
     double tp = it->first.first;
-    Pending p = std::move(it->second);
+    online::JobSubmission job = std::move(it->second);
     pending_.erase(it);
     advance_all(tp);
-    route(tp, p);
+    route_job(tp, std::move(job));
   }
   advance_all(t);
   now_ = std::max(now_, t);
@@ -198,10 +171,10 @@ void ShardedService::run_all() {
   while (!pending_.empty()) {
     auto it = pending_.begin();
     double tp = it->first.first;
-    Pending p = std::move(it->second);
+    online::JobSubmission job = std::move(it->second);
     pending_.erase(it);
     advance_all(tp);
-    route(tp, p);
+    route_job(tp, std::move(job));
   }
   pool_.run(config_.shards, [this](int s) {
     shards_[static_cast<std::size_t>(s)]->engine.run_all();
@@ -252,21 +225,12 @@ void ShardedService::advance_all(double t) {
   if (obs::metrics_enabled()) {
     for (int s = 0; s < config_.shards; ++s) {
       Shard& sh = *shards_[static_cast<std::size_t>(s)];
-      sh.resolve_obs(s);
+      sh.resolve_advance_obs(s);
       sh.obs_advance->record(static_cast<std::uint64_t>(
           std::max<std::int64_t>(sh.last_advance_ns, 0)));
     }
   }
 #endif
-}
-
-void ShardedService::route(double t, Pending& p) {
-  if (p.resv) {
-    route_reservation(t, *p.resv);
-    return;
-  }
-  RESCHED_ASSERT(p.job.has_value(), "pending arrival with no payload");
-  route_job(t, std::move(*p.job));
 }
 
 std::vector<int> ShardedService::ranked_shards(double t) const {
@@ -281,16 +245,6 @@ std::vector<int> ShardedService::ranked_shards(double t) const {
   order.reserve(scored.size());
   for (const auto& [score, s] : scored) order.push_back(s);
   return order;
-}
-
-void ShardedService::route_reservation(double t, const resv::Reservation& r) {
-  // External reservations are commitments, not admission requests: no
-  // spillover — the least-loaded shard absorbs them (its calendar clamps
-  // over-subscription, like a single engine's would).
-  int target = ranked_shards(t).front();
-  Shard& sh = *shards_[static_cast<std::size_t>(target)];
-  sh.engine.submit_reservation(t, r);
-  sh.engine.run_until(t);
 }
 
 void ShardedService::route_job(double t, online::JobSubmission job) {
@@ -363,7 +317,7 @@ void ShardedService::record_outcome(const RoutingOutcome& outcome) {
 #ifndef RESCHED_OBS_DISABLED
   if (obs::metrics_enabled()) {
     Shard& sh = *shards_[static_cast<std::size_t>(outcome.shard)];
-    sh.resolve_obs(outcome.shard);
+    sh.resolve_router_obs(outcome.shard);
     switch (outcome.decision) {
       case online::Decision::kAccepted:
         sh.obs_accepted->add(1);

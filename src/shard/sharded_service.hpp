@@ -2,9 +2,10 @@
 //
 // Partitions the platform into N shards, each owning a private
 // StepIndex-backed calendar and an online::SchedulerService bound to it
-// (the engine-per-shard constructor). A router front-end accepts the same
-// submission stream as a single engine and decides, per arrival, which
-// shard schedules it:
+// (the engine-per-shard constructor). A router front-end accepts a stream
+// of job submissions and decides, per arrival, which shard schedules it
+// (advance reservations bypass the router: callers submit them to one
+// shard's engine(s)):
 //
 //   * load-aware selection — shards are ranked by load_score(): queue
 //     depth (pending engine events) plus committed work still ahead of now
@@ -24,10 +25,11 @@
 // Determinism contract: routing decisions depend only on the submission
 // stream, never on wall-clock or thread identity. Before each decision the
 // router advances *every* shard to the arrival time in lockstep (a
-// ShardPool barrier), so load scores are read at a synchronized point and
-// are identical for any thread count — replaying a stream with 1 or N
-// threads yields byte-identical per-shard traces, and merge_traces'
-// (time, shard, seq) total order makes the combined trace stable too.
+// util::WorkerPool barrier), so load scores are read at a synchronized
+// point and are identical for any thread count — replaying a stream with
+// 1 or N threads yields byte-identical per-shard traces, and
+// merge_traces' (time, shard, seq) total order makes the combined trace
+// stable too.
 //
 // A one-shard service is a transparent pass-through: submissions go
 // straight to the single engine, so traces and metrics are byte-identical
@@ -44,7 +46,7 @@
 
 #include "src/online/service.hpp"
 #include "src/resv/profile.hpp"
-#include "src/shard/shard_pool.hpp"
+#include "src/util/worker_pool.hpp"
 
 namespace resched::obs {
 class Counter;
@@ -97,21 +99,16 @@ class ShardedService {
   /// Enqueues a DAG submission; routed when the stream reaches job.submit.
   void submit(online::JobSubmission job);
 
-  /// Enqueues an external advance reservation; routed (least-loaded shard
-  /// with room for r.procs) at `arrival`.
-  void submit_reservation(double arrival, const resv::Reservation& r);
-
   /// Cancels a live job at t >= now(): advances every shard to t in
   /// lockstep, locates the shard whose engine holds the job, and delegates
   /// to SchedulerService::cancel_job there. Returns false when no shard
   /// has the job live.
   bool cancel_job(double t, int job_id);
 
-  /// Durability hook (DESIGN.md §10), invoked on every submit /
-  /// submit_reservation / cancel_job accepted by the router — before any
-  /// routing or engine state changes, mirroring the single-engine
-  /// SchedulerService hook. Per-shard engine hooks stay unset; the router
-  /// is the daemon's single write-ahead point.
+  /// Durability hook (DESIGN.md §10), invoked on every submit / cancel_job
+  /// accepted by the router — before any routing or engine state changes,
+  /// mirroring the single-engine SchedulerService hook. Per-shard engine
+  /// hooks stay unset; the router is the daemon's single write-ahead point.
   void set_wal_hook(online::SchedulerService::WalHook hook) {
     wal_hook_ = std::move(hook);
   }
@@ -171,24 +168,21 @@ class ShardedService {
 
  private:
   struct Shard;
-  struct Pending;
 
   /// Lockstep barrier: every shard runs run_until(t) (parallel when the
   /// pool has threads). Publishes per-shard obs after the barrier.
   void advance_all(double t);
-  void route(double t, Pending& p);
   void route_job(double t, online::JobSubmission job);
-  void route_reservation(double t, const resv::Reservation& r);
   /// Every shard, best load_score() first (ties by id).
   std::vector<int> ranked_shards(double t) const;
   void record_outcome(const RoutingOutcome& outcome);
 
   ShardedConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  ShardPool pool_;
+  util::WorkerPool pool_;
   /// Arrivals not yet routed, in (time, arrival seq) order — the router's
   /// deterministic submission order, mirroring EventQueue's FIFO tie-break.
-  std::map<std::pair<double, std::uint64_t>, Pending> pending_;
+  std::map<std::pair<double, std::uint64_t>, online::JobSubmission> pending_;
   std::uint64_t arrival_seq_ = 0;
   online::SchedulerService::WalHook wal_hook_;
   std::vector<RoutingOutcome> routing_;

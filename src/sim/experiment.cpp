@@ -7,8 +7,8 @@
 #include <limits>
 
 #include "src/obs/obs.hpp"
-#include "src/sim/runner.hpp"
 #include "src/util/error.hpp"
+#include "src/util/worker_pool.hpp"
 
 namespace resched::sim {
 
@@ -32,11 +32,12 @@ ComparisonTable run_ressched_comparison(
   ComparisonTable table(names, {"turnaround", "cpu_hours"});
 
   const int per_scenario = instances_of(config);
+  util::WorkerPool pool(config.threads);
   for (const ScenarioSpec& scenario : scenarios) {
     // values[instance][metric][algo]
     std::vector<std::array<std::vector<double>, 2>> values(
         static_cast<std::size_t>(per_scenario));
-    parallel_for(per_scenario, config.threads, [&](int i) {
+    pool.run(per_scenario, [&](int i) {
       OBS_PHASE("sim.cell");
       int dag_idx = i / config.resv_samples;
       int resv_idx = i % config.resv_samples;
@@ -77,11 +78,12 @@ BlComparisonResult run_bl_comparison(std::span<const ScenarioSpec> scenarios,
   int cpa_family_best = 0, cpar_better = 0;
 
   const int per_scenario = instances_of(config);
+  util::WorkerPool pool(config.threads);
   for (const ScenarioSpec& scenario : scenarios) {
     // mean_tat[bd][bl] accumulated over instances
     std::vector<std::array<std::array<double, 4>, 3>> values(
         static_cast<std::size_t>(per_scenario));
-    parallel_for(per_scenario, config.threads, [&](int i) {
+    pool.run(per_scenario, [&](int i) {
       OBS_PHASE("sim.cell");
       int dag_idx = i / config.resv_samples;
       int resv_idx = i % config.resv_samples;
@@ -139,10 +141,11 @@ ComparisonTable run_deadline_comparison(
   ComparisonTable table(names, {"tightest_deadline", "loose_cpu_hours"});
 
   const int per_scenario = instances_of(config);
+  util::WorkerPool pool(config.threads);
   for (const ScenarioSpec& scenario : scenarios) {
     std::vector<std::array<std::vector<double>, 2>> values(
         static_cast<std::size_t>(per_scenario));
-    parallel_for(per_scenario, config.threads, [&](int i) {
+    pool.run(per_scenario, [&](int i) {
       OBS_PHASE("sim.cell");
       int dag_idx = i / config.resv_samples;
       int resv_idx = i % config.resv_samples;

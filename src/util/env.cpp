@@ -1,7 +1,9 @@
 #include "src/util/env.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 namespace resched::util {
@@ -11,11 +13,16 @@ double env_double(const std::string& name, double fallback) {
   if (raw == nullptr) return fallback;
   char* end = nullptr;
   double v = std::strtod(raw, &end);
-  return (end == raw) ? fallback : v;
+  return (end == raw || *end != '\0' || !std::isfinite(v)) ? fallback : v;
 }
 
 int env_int(const std::string& name, int fallback) {
-  return static_cast<int>(env_double(name, fallback));
+  double v = env_double(name, fallback);
+  // Casting a double outside int's range is undefined behaviour.
+  if (v <= std::numeric_limits<int>::min() - 1.0 ||
+      v >= std::numeric_limits<int>::max() + 1.0)
+    return fallback;
+  return static_cast<int>(v);
 }
 
 double bench_scale() {

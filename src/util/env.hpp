@@ -10,11 +10,13 @@
 namespace resched::util {
 
 /// Returns the environment variable `name` parsed as double, or `fallback`
-/// when unset or unparsable.
+/// when unset or unparsable: the whole value must be one finite number
+/// ("4x", "inf" and "nan" are unparsable).
 double env_double(const std::string& name, double fallback);
 
-/// Returns the environment variable `name` parsed as int, or `fallback`
-/// when unset or unparsable.
+/// Returns the environment variable `name` parsed as a number and
+/// truncated to int ("7.25" reads as 7), or `fallback` when unset,
+/// unparsable as for env_double, or outside int's range.
 int env_int(const std::string& name, int fallback);
 
 /// Global instance-count multiplier for benches (RESCHED_SCALE, default 1.0,

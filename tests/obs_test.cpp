@@ -1,5 +1,5 @@
 // Observability subsystem tests: span ring saturation, cross-thread span
-// nesting, counter atomicity under the experiment runner's parallel_for,
+// nesting, counter atomicity across the worker pool's lanes,
 // histogram bucket arithmetic, deterministic Chrome-trace / JSONL output,
 // registry handle stability, and the disabled-mode overhead guard.
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "src/obs/obs.hpp"
-#include "src/sim/runner.hpp"
+#include "src/util/worker_pool.hpp"
 
 namespace {
 
@@ -95,7 +95,8 @@ TEST_F(ObsTest, CountersAndHistogramsAreExactUnderParallelFor) {
   obs::registry().reset();
 
   constexpr int kIters = 20000;
-  sim::parallel_for(kIters, 4, [](int i) {
+  util::WorkerPool pool(4);
+  pool.run(kIters, [](int i) {
     OBS_COUNT("test.parallel.counter", 1);
     OBS_COUNT("test.parallel.weighted", 3);
     OBS_HIST("test.parallel.hist", static_cast<std::uint64_t>(i));

@@ -15,12 +15,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/dag/dag.hpp"
 #include "src/ft/repair.hpp"
+#include "src/obs/obs.hpp"
 #include "src/online/replay.hpp"
 #include "src/online/service.hpp"
 #include "src/online/trace.hpp"
@@ -258,6 +260,35 @@ TEST(PdesRouting, PinnedPlacementsProbesAndTrace) {
     EXPECT_EQ(got.stats.events, leg.events);
     EXPECT_EQ(trace_hash(got.trace), leg.hash);
   }
+}
+
+/// A PDES replay routes whole windows without the lockstep router, so its
+/// metrics list each shard's advance latency and none of the router's
+/// five decision metrics, which would all read 0.
+TEST(PdesMetrics, ReplayListsEachShardsLatencyAndNoRouterMetrics) {
+#ifdef RESCHED_OBS_DISABLED
+  GTEST_SKIP() << "metrics are compiled out";
+#else
+  const workload::Log log = dense_log();
+  obs::registry().reset();
+  obs::set_metrics_enabled(true);
+  pdes::LogSource source(log, replay_spec(42));
+  pdes::PdesReplayEngine engine(pdes_config(2, 1, 3600.0));
+  engine.run(source);
+  obs::set_metrics_enabled(false);
+
+  const obs::MetricsSnapshot snap = obs::registry().snapshot();
+  std::set<std::string> names;
+  for (const obs::CounterSample& c : snap.counters) names.insert(c.name);
+  for (const obs::HistogramSample& h : snap.histograms) names.insert(h.name);
+  for (int s = 0; s < 2; ++s) {
+    const std::string prefix = "shard." + std::to_string(s) + ".";
+    EXPECT_EQ(names.count(prefix + "event_latency_ns"), 1u) << prefix;
+    for (const char* metric :
+         {"accepted", "counter_offered", "rejected", "spill_in", "queue_depth"})
+      EXPECT_EQ(names.count(prefix + metric), 0u) << prefix << metric;
+  }
+#endif
 }
 
 // --- streaming SWF reader ---------------------------------------------------

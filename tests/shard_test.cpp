@@ -1,5 +1,5 @@
-// Sharded service tests (DESIGN.md §9): pool barrier semantics, one-shard
-// pass-through byte-identity against a standalone SchedulerService,
+// Sharded service tests (DESIGN.md §9): one-shard pass-through
+// byte-identity against a standalone SchedulerService,
 // load-aware routing + cross-shard spillover calendar consistency under
 // the LinearProfile oracle, thread-count-independent determinism of merged
 // traces, and the ft regression that repairing shard A never mutates
@@ -8,10 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <optional>
-#include <stdexcept>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -21,11 +20,11 @@
 #include "src/ft/disruption.hpp"
 #include "src/ft/repair.hpp"
 #include "src/ft/service_access.hpp"
+#include "src/obs/obs.hpp"
 #include "src/online/replay.hpp"
 #include "src/online/service.hpp"
 #include "src/online/trace.hpp"
 #include "src/resv/linear_profile.hpp"
-#include "src/shard/shard_pool.hpp"
 #include "src/shard/sharded_service.hpp"
 #include "src/util/error.hpp"
 #include "src/workload/log.hpp"
@@ -42,7 +41,6 @@ using online::TraceWriter;
 using shard::RoutingOutcome;
 using shard::ShardedConfig;
 using shard::ShardedService;
-using shard::ShardPool;
 
 dag::Dag one_task_dag(double seq_time, double alpha = 0.0) {
   return dag::Dag({{seq_time, alpha}}, {});
@@ -67,45 +65,6 @@ void expect_shard_calendar_consistent(const ShardedService& svc, int s) {
   resv::LinearProfile oracle(capacity, committed);
   EXPECT_EQ(svc.calendar(s).canonical_steps(), oracle.canonical_steps())
       << "shard " << s << " calendar diverged from the linear oracle";
-}
-
-// --- ShardPool ---------------------------------------------------------------
-
-TEST(ShardPool, RunsEveryIndexExactlyOnceAcrossEpochs) {
-  ShardPool pool(4);
-  for (int epoch = 0; epoch < 50; ++epoch) {
-    std::vector<std::atomic<int>> hits(8);
-    pool.run(8, [&](int i) { hits[static_cast<std::size_t>(i)]++; });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ShardPool, SingleThreadRunsInline) {
-  ShardPool pool(1);
-  std::vector<int> order;
-  pool.run(5, [&](int i) { order.push_back(i); });  // no data race: inline
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ShardPool, BarrierCompletesAndLowestThrowingIndexWins) {
-  for (int threads : {1, 4}) {
-    ShardPool pool(threads);
-    std::vector<std::atomic<int>> hits(6);
-    try {
-      pool.run(6, [&](int i) {
-        hits[static_cast<std::size_t>(i)]++;
-        if (i == 2 || i == 4) throw std::runtime_error("boom " +
-                                                       std::to_string(i));
-      });
-      FAIL() << "expected the pooled exception to propagate";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "boom 2");  // lowest throwing index
-    }
-    // The barrier always completes: every index ran despite the throws.
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-    // The pool stays usable after an exceptional epoch.
-    pool.run(3, [](int) {});
-  }
 }
 
 // --- reserved_area_after (routing load signal) ------------------------------
@@ -179,7 +138,7 @@ TEST(ShardedService, OneShardIsByteIdenticalToStandaloneEngine) {
   TraceWriter sharded_writer(sharded_trace);
   sharded.engine(0).set_trace(&sharded_writer);
   for (const JobSubmission& sub : stream) sharded.submit(sub);
-  sharded.submit_reservation(0.0, {3600.0, 7200.0, 16});
+  sharded.engine(0).submit_reservation(0.0, {3600.0, 7200.0, 16});
   sharded.run_all();
 
   EXPECT_FALSE(solo_trace.str().empty());
@@ -322,8 +281,9 @@ std::string merged_trace_of_run(int shards, int threads,
     svc.engine(s).set_trace(&writers.back());
   }
   for (const JobSubmission& sub : stream) svc.submit(sub);
-  svc.submit_reservation(0.0, {1800.0, 5400.0, 6});
-  svc.submit_reservation(0.0, {3600.0, 9000.0, 4});
+  // Advance reservations go straight to fixed shards' engines.
+  svc.engine(1).submit_reservation(0.0, {1800.0, 5400.0, 6});
+  svc.engine(shards - 1).submit_reservation(0.0, {3600.0, 9000.0, 4});
   svc.run_all();
 
   std::ostringstream merged;
@@ -396,6 +356,42 @@ TEST(ShardedService, PinnedRoutingOfATightDeadlineReplay) {
   for (int s = 0; s < 4; ++s) svc.engine(s).set_trace(nullptr);
   EXPECT_EQ(trace_hash(online::merge_traces(std::move(per_shard))),
             14487704591011564738ull);
+}
+
+/// The lockstep router records all six `shard.<id>.*` metrics on a shard
+/// that decided a job: the advance latency, and its five decision metrics.
+TEST(ShardedService, LockstepRouterRecordsItsShardMetrics) {
+#ifdef RESCHED_OBS_DISABLED
+  GTEST_SKIP() << "metrics are compiled out";
+#else
+  obs::registry().reset();
+  obs::set_metrics_enabled(true);
+  ShardedService svc(two_shard_config(shard_config(8)));
+  load_shard_one_far_ahead(svc);
+  svc.submit({0, 10.0, one_task_dag(300.0), std::nullopt});
+  svc.run_all();
+  obs::set_metrics_enabled(false);
+  ASSERT_EQ(svc.routing().size(), 1u);
+  ASSERT_EQ(svc.routing()[0].shard, 0);
+
+  const obs::MetricsSnapshot snap = obs::registry().snapshot();
+  std::set<std::string> names;
+  for (const obs::CounterSample& c : snap.counters) {
+    names.insert(c.name);
+    if (c.name == "shard.0.accepted") {
+      EXPECT_EQ(c.value, 1u);
+    }
+  }
+  for (const obs::HistogramSample& h : snap.histograms) {
+    names.insert(h.name);
+    if (h.name == "shard.0.queue_depth") {
+      EXPECT_EQ(h.count, 1u);
+    }
+  }
+  for (const char* metric : {"event_latency_ns", "accepted", "counter_offered",
+                             "rejected", "spill_in", "queue_depth"})
+    EXPECT_EQ(names.count(std::string("shard.0.") + metric), 1u) << metric;
+#endif
 }
 
 TEST(MergeTraces, OrdersByTimeShardSeqAndTagsUntaggedInputs) {

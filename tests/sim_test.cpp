@@ -1,10 +1,9 @@
-// Tests for the experiment framework: the parallel runner (determinism,
-// error propagation, and const calendar queries shared across its
-// workers), degradation-from-best aggregation, scenario grids, instance
+// Tests for the experiment framework: const calendar queries shared
+// across the worker-pool lanes that run experiment cells,
+// degradation-from-best aggregation, scenario grids, instance
 // construction, and table rendering.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -15,125 +14,23 @@
 #include "src/resv/linear_profile.hpp"
 #include "src/resv/profile.hpp"
 #include "src/sim/metrics.hpp"
-#include "src/sim/runner.hpp"
 #include "src/sim/scenario.hpp"
 #include "src/sim/table.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/worker_pool.hpp"
 
 namespace {
 
 using namespace resched;
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
-TEST(ParallelFor, RunsEveryIndexOnce) {
-  for (int threads : {1, 2, 8}) {
-    std::vector<std::atomic<int>> hits(100);
-    sim::parallel_for(100, threads, [&](int i) { hits[i]++; });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ParallelFor, ZeroIterations) {
-  sim::parallel_for(0, 4, [](int) { FAIL(); });
-}
-
-TEST(ParallelFor, PropagatesException) {
-  EXPECT_THROW(
-      sim::parallel_for(50, 4,
-                        [](int i) {
-                          if (i == 17) throw resched::Error("boom");
-                        }),
-      resched::Error);
-}
-
-TEST(ParallelFor, ThrowingCellDoesNotDeadlockThePool) {
-  // Regression: a throwing cell must not wedge the pool — every worker
-  // drains and the exception reaches the caller (this test hanging is the
-  // failure mode). Workers also stop claiming new cells after a throw.
-  for (int rep = 0; rep < 20; ++rep) {
-    std::atomic<int> ran{0};
-    EXPECT_THROW(sim::parallel_for(64, 8,
-                                   [&](int i) {
-                                     ran++;
-                                     if (i == 10)
-                                       throw resched::Error("cell 10");
-                                   }),
-                 resched::Error);
-    EXPECT_GE(ran.load(), 11);  // 0..10 always execute
-  }
-}
-
-TEST(ParallelFor, FirstExceptionWinsDeterministically) {
-  // Contract: the exception from the *lowest* throwing index propagates,
-  // whatever the thread count or interleaving. Every cell >= 37 throws its
-  // own message; index 37 must win every time.
-  for (int threads : {2, 4, 8}) {
-    for (int rep = 0; rep < 10; ++rep) {
-      try {
-        sim::parallel_for(100, threads, [](int i) {
-          if (i >= 37)
-            throw resched::Error("cell " + std::to_string(i));
-        });
-        FAIL() << "expected an exception";
-      } catch (const resched::Error& e) {
-        EXPECT_STREQ(e.what(), "cell 37")
-            << "threads=" << threads << " rep=" << rep;
-      }
-    }
-  }
-}
-
-TEST(ParallelFor, ValidatesArguments) {
-  EXPECT_THROW(sim::parallel_for(-1, 1, [](int) {}), resched::Error);
-  EXPECT_THROW(sim::parallel_for(1, 0, [](int) {}), resched::Error);
-}
-
-TEST(ParallelFor, BothOverloadsObserveFirstExceptionWins) {
-  // The bare-lambda call dispatches through the templated overload (no
-  // type erasure); wrapping the same callable in std::function selects the
-  // non-template overload. Both must honour the identical contract: the
-  // exception from the lowest throwing index propagates.
-  auto cell = [](int i) {
-    if (i >= 23) throw resched::Error("cell " + std::to_string(i));
-  };
-  for (int threads : {2, 8}) {
-    for (int rep = 0; rep < 5; ++rep) {
-      try {
-        sim::parallel_for(80, threads, cell);  // templated overload
-        FAIL() << "expected an exception";
-      } catch (const resched::Error& e) {
-        EXPECT_STREQ(e.what(), "cell 23") << "template, threads=" << threads;
-      }
-      try {
-        std::function<void(int)> erased = cell;
-        sim::parallel_for(80, threads, erased);  // std::function overload
-        FAIL() << "expected an exception";
-      } catch (const resched::Error& e) {
-        EXPECT_STREQ(e.what(), "cell 23") << "erased, threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST(ParallelFor, TemplatedOverloadRunsStatefulFunctorsInPlace) {
-  // A mutable functor passed by lvalue must be invoked in place (by
-  // reference), not through a copy — its observed state survives the call.
-  struct Counter {
-    std::atomic<int>* hits;
-    void operator()(int) const { ++*hits; }
-  };
-  std::atomic<int> hits{0};
-  Counter counter{&hits};
-  sim::parallel_for(64, 4, counter);
-  EXPECT_EQ(64, hits.load());
-}
-
-TEST(ParallelFor, ConstCalendarQueriesAreThreadSafe) {
-  // Experiment cells share one competing calendar read-only. Four workers
-  // run 2,000 earliest/latest fits each against the same small profile;
-  // every answer must match the LinearProfile oracle, and under the TSan
-  // leg any write a const query makes to shared state is a reported race.
+TEST(ExperimentCells, ConstCalendarQueriesAreThreadSafe) {
+  // Experiment cells share one competing calendar read-only. Four pool
+  // lanes run 2,000 earliest/latest fits each against the same small
+  // profile; every answer must match the LinearProfile oracle, and under
+  // the TSan leg any write a const query makes to shared state is a
+  // reported race.
   constexpr int kCapacity = 64;
   constexpr int kCells = 4;
   constexpr int kFitsPerCell = 2000;
@@ -161,7 +58,8 @@ TEST(ParallelFor, ConstCalendarQueriesAreThreadSafe) {
   }
 
   std::vector<std::optional<double>> got(queries.size());
-  sim::parallel_for(kCells, kCells, [&](int cell) {
+  util::WorkerPool pool(kCells);
+  pool.run(kCells, [&](int cell) {
     for (int k = 0; k < kFitsPerCell; ++k) {
       auto i = static_cast<std::size_t>(cell * kFitsPerCell + k);
       const resv::FitQuery& q = queries[i];

@@ -1,16 +1,24 @@
 // Unit tests for src/util: deterministic RNG streams, distributions,
-// streaming statistics, and environment helpers.
+// streaming statistics, environment helpers, and the worker pool's
+// contract (every index once, inline single-thread runs, lowest throwing
+// index wins, the barrier always completes). This binary is in the TSan
+// leg for the pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/util/env.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
+#include "src/util/worker_pool.hpp"
 
 namespace {
 
@@ -243,7 +251,148 @@ TEST(Env, FallbacksAndParsing) {
   EXPECT_EQ(env_int("RESCHED_TEST_VAR", 1), 7);
   setenv("RESCHED_TEST_VAR", "garbage", 1);
   EXPECT_DOUBLE_EQ(env_double("RESCHED_TEST_VAR", 2.5), 2.5);
+  // The whole token must be one finite number, and for env_int one that
+  // fits an int: anything else falls back instead of reading a prefix or
+  // casting out of range.
+  for (const char* bad : {"4x", "inf", "nan"}) {
+    setenv("RESCHED_TEST_VAR", bad, 1);
+    EXPECT_DOUBLE_EQ(env_double("RESCHED_TEST_VAR", 2.5), 2.5) << bad;
+  }
+  for (const char* bad : {"4x", "1e10", "inf", "nan"}) {
+    setenv("RESCHED_TEST_VAR", bad, 1);
+    EXPECT_EQ(env_int("RESCHED_TEST_VAR", 3), 3) << bad;
+  }
   unsetenv("RESCHED_TEST_VAR");
+}
+
+// --- WorkerPool --------------------------------------------------------------
+
+TEST(WorkerPool, RunsEveryIndexOnce) {
+  // A fresh pool's first run: its workers start up inside this run.
+  for (int threads : {1, 2, 4, 8})
+    for (int n : {1, 8, 100}) {
+      WorkerPool pool(threads);
+      EXPECT_EQ(pool.threads(), threads);
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+      pool.run(n, [&](int i) { hits[static_cast<std::size_t>(i)]++; });
+      for (const auto& h : hits)
+        ASSERT_EQ(h.load(), 1) << "threads=" << threads << " n=" << n;
+    }
+}
+
+TEST(WorkerPool, RunsEveryIndexExactlyOnceAcrossEpochs) {
+  // Repeated runs on one pool: each run is a new epoch for its workers.
+  for (int threads : {1, 2, 4, 8}) {
+    WorkerPool pool(threads);
+    for (int epoch = 0; epoch < 20; ++epoch)
+      for (int n : {1, 8, 100}) {
+        std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+        pool.run(n, [&](int i) { hits[static_cast<std::size_t>(i)]++; });
+        for (const auto& h : hits)
+          ASSERT_EQ(h.load(), 1) << "threads=" << threads << " n=" << n
+                                 << " epoch=" << epoch;
+      }
+  }
+}
+
+TEST(WorkerPool, ZeroIndicesRunNothing) {
+  WorkerPool pool(4);
+  pool.run(0, [](int) { FAIL(); });
+}
+
+TEST(WorkerPool, SingleThreadRunsInline) {
+  // One lane, or one index, runs on the caller in index order: no data
+  // race on `order`, nothing for TSan to see.
+  const std::thread::id caller = std::this_thread::get_id();
+  WorkerPool pool(1);
+  std::vector<int> order;
+  pool.run(5, [&](int i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  WorkerPool wide(4);
+  wide.run(1, [&](int) { EXPECT_EQ(std::this_thread::get_id(), caller); });
+}
+
+TEST(WorkerPool, PropagatesException) {
+  // One throwing index: its exception, type and message, reaches the caller.
+  for (int threads : {1, 2, 4, 8}) {
+    WorkerPool pool(threads);
+    try {
+      pool.run(50, [](int i) {
+        if (i == 17) throw resched::Error("boom");
+      });
+      FAIL() << "expected an exception, threads=" << threads;
+    } catch (const resched::Error& e) {
+      EXPECT_STREQ(e.what(), "boom") << "threads=" << threads;
+    }
+  }
+}
+
+TEST(WorkerPool, FirstExceptionWinsDeterministically) {
+  // Every index >= 37 throws its own message; index 37's must reach the
+  // caller whatever the thread count or interleaving.
+  for (int threads : {1, 2, 4, 8}) {
+    WorkerPool pool(threads);
+    for (int rep = 0; rep < 10; ++rep) {
+      try {
+        pool.run(100, [](int i) {
+          if (i >= 37) throw resched::Error("cell " + std::to_string(i));
+        });
+        FAIL() << "expected an exception";
+      } catch (const resched::Error& e) {
+        EXPECT_STREQ(e.what(), "cell 37")
+            << "threads=" << threads << " rep=" << rep;
+      }
+    }
+  }
+}
+
+TEST(WorkerPool, EveryIndexRunsAfterAThrowAndThePoolStaysUsable) {
+  for (int threads : {1, 2, 4, 8}) {
+    WorkerPool pool(threads);
+    std::vector<std::atomic<int>> hits(6);
+    try {
+      pool.run(6, [&](int i) {
+        hits[static_cast<std::size_t>(i)]++;
+        if (i == 2 || i == 4)
+          throw std::runtime_error("boom " + std::to_string(i));
+      });
+      FAIL() << "expected the pooled exception to propagate";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom 2");  // lowest throwing index
+    }
+    // The barrier always completes: every index ran despite the throws.
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    std::atomic<int> after{0};
+    pool.run(3, [&](int) { after++; });
+    EXPECT_EQ(after.load(), 3);
+  }
+}
+
+TEST(WorkerPool, ThrowNeverWedgesThePool) {
+  // Regression: a throwing index must not wedge the pool — every lane
+  // drains and the exception reaches the caller (this test hanging is the
+  // failure mode), run after run, and the pool still joins its workers.
+  WorkerPool pool(8);
+  for (int rep = 0; rep < 20; ++rep) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(pool.run(64,
+                          [&](int i) {
+                            ran++;
+                            if (i == 10) throw resched::Error("cell 10");
+                          }),
+                 resched::Error);
+    EXPECT_EQ(ran.load(), 64);
+  }
+}
+
+TEST(WorkerPool, ValidatesArguments) {
+  EXPECT_THROW(WorkerPool{0}, resched::Error);
+  EXPECT_THROW(WorkerPool{-1}, resched::Error);
+  WorkerPool pool(2);
+  EXPECT_THROW(pool.run(-1, [](int) {}), resched::Error);
 }
 
 TEST(Error, CheckMacroThrowsWithContext) {
