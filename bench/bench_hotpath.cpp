@@ -16,6 +16,12 @@
 //    probe-limited variants of the same working point, with the same
 //    allocs_per_job ceiling treatment so the scratch-buffer discipline
 //    covers every scheduling path, not just the static one.
+//  * BM_DeadlineContext — core::make_deadline_context for DL_RCBD_CPAR-λ
+//    (the engine default) over a stream of 10-task DAGs on a 64-proc
+//    machine, q_hist cycling {16, 40, 64}: one CPA(q_hist) allocation and
+//    the guideline series, the deadline path's fixed cost per admission.
+//    Counter: allocs_per_context (COUNTER_CEILINGS gate: the series reuses
+//    one kernel workspace instead of rebuilding a sub-DAG per task).
 //  * BM_ChurnSteadyState — commit/release churn on a warm calendar. After
 //    warmup the treap node arena must serve every insert from its free
 //    list: the arena_chunk_allocs counter (delta of
@@ -45,6 +51,7 @@
 #include "src/core/blind_ressched.hpp"
 #include "src/core/dynamic.hpp"
 #include "src/core/ressched.hpp"
+#include "src/core/resscheddl.hpp"
 #include "src/dag/daggen.hpp"
 #include "src/resv/arena.hpp"
 #include "src/resv/batch_scheduler.hpp"
@@ -233,6 +240,34 @@ void BM_BlindSweep(benchmark::State& state) {
       jobs == 0 ? 0.0 : static_cast<double>(allocs) / static_cast<double>(jobs);
 }
 BENCHMARK(BM_BlindSweep)->Unit(benchmark::kMillisecond);
+
+// -- deadline context: the CPA guideline series ---------------------------
+
+void BM_DeadlineContext(benchmark::State& state) {
+  std::vector<dag::Dag> apps;
+  for (std::uint64_t seed = 20; seed < 28; ++seed)
+    apps.push_back(make_dag(10, seed));
+  const int q_hists[] = {16, 40, 64};
+  core::DeadlineParams params;  // DL_RCBD_CPAR-λ
+  std::uint64_t contexts = 0;
+  const std::uint64_t allocs_before =
+      g_heap_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    auto ctx = core::make_deadline_context(apps[contexts % apps.size()], 64,
+                                           q_hists[contexts % 3], params);
+    benchmark::DoNotOptimize(ctx);
+    ++contexts;
+  }
+  const std::uint64_t allocs =
+      g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
+  state.counters["contexts_per_sec"] = benchmark::Counter(
+      static_cast<double>(contexts), benchmark::Counter::kIsRate);
+  state.counters["allocs_per_context"] =
+      contexts == 0
+          ? 0.0
+          : static_cast<double>(allocs) / static_cast<double>(contexts);
+}
+BENCHMARK(BM_DeadlineContext)->Unit(benchmark::kMicrosecond);
 
 // -- steady-state churn: the arena must not touch the heap ---------------
 

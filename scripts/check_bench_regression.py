@@ -35,7 +35,8 @@ Current pairs / bars / ceilings:
     >= 10k RPCs/sec with a durable WAL (DESIGN.md §10 acceptance bar);
   * hot-path layout  — the RESSCHED sweep at Table-4 scale sustains
     >= 650 jobs/sec; heap allocations per job stay under the ceilings on
-    the static, dynamic and blind scheduling paths, and the treap-node
+    the static, dynamic and blind scheduling paths, a DL_RCBD_CPAR-lambda
+    deadline context makes at most 64 heap allocations, and the treap-node
     arena performs zero chunk allocations in steady-state churn
     (DESIGN.md §11 acceptance bars).
 
@@ -76,6 +77,8 @@ COUNTER_CEILINGS = [
      "heap allocations per dynamic-arrivals job (measured 15)"),
     ("BM_BlindSweep", "allocs_per_job", 512.0,
      "heap allocations per blind job incl. its calendar copy (measured 277)"),
+    ("BM_DeadlineContext", "allocs_per_context", 64.0,
+     "heap allocations per DL_RCBD_CPAR-lambda deadline context"),
     ("BM_ChurnSteadyState", "arena_chunk_allocs", 0.0,
      "treap-node arena chunk allocations in steady-state churn"),
 ]

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/obs/obs.hpp"
@@ -114,41 +114,6 @@ std::optional<AppSchedule> backward_pass(
   return sched;
 }
 
-/// Guideline start S_i^cpa for the task at each backward-order position k:
-/// the CPA schedule (on q processors, allocation `alloc` = CPA(q) of the
-/// whole DAG) of the sub-DAG of tasks not yet scheduled at step k
-/// (positions k and later), relative to the schedule origin. Also returns
-/// the whole application's CPA makespan, which anchors the deadline-budget
-/// stretch.
-///
-/// Two positions need no sub-DAG CPA run. At k = 0 the sub-DAG is the whole
-/// DAG, whose CPA schedule is `alloc` list-scheduled in `cpa_order`
-/// (decreasing bottom level under `alloc`) — exactly what
-/// cpa::subdag_guideline computes for a full mask. At k = n − 1 it is a
-/// lone task, which the list schedule always starts at the origin.
-std::vector<double> guideline_starts(const dag::Dag& dag,
-                                     std::span<const int> order,
-                                     std::span<const int> alloc,
-                                     std::span<const int> cpa_order, int q,
-                                     const cpa::Options& cpa,
-                                     double& makespan_out) {
-  const std::size_t n = order.size();
-  std::vector<double> rel(n, 0.0);
-  const auto first = static_cast<std::size_t>(order[0]);
-  const std::vector<cpa::Placement> whole =
-      cpa::list_schedule(dag, alloc, q, 0.0, cpa_order);
-  makespan_out = cpa::makespan(whole, 0.0);
-  rel[first] = whole[first].start;
-  std::vector<bool> keep(n, true);
-  keep[first] = false;
-  for (std::size_t k = 1; k + 1 < n; ++k) {
-    const auto task = static_cast<std::size_t>(order[k]);
-    rel[task] = cpa::subdag_guideline(dag, keep, q, cpa).start[task];
-    keep[task] = false;
-  }
-  return rel;
-}
-
 }  // namespace
 
 const char* to_string(DlAlgo algo) {
@@ -198,18 +163,22 @@ DeadlineContext make_deadline_context(const dag::Dag& dag, int p, int q_hist,
   ctx.order.assign(cpa_order_q.rbegin(), cpa_order_q.rend());
 
   // The guidelines are independent of deadline, λ, and the calendar, so
-  // deadline searches reuse the context freely.
+  // deadline searches reuse the context freely. Guideline k is the CPA
+  // schedule of the tasks still unscheduled at backward position k.
   if (needs.guidelines == GuidelineSet::kP) {
     dag::bottom_levels_into(dag, ctx.cpa_alloc_p, bl);
     const std::vector<int> cpa_order_p = dag::order_by_decreasing(dag, bl);
-    ctx.guideline_rel_p = guideline_starts(dag, ctx.order, ctx.cpa_alloc_p,
-                                           cpa_order_p, p, params.cpa,
-                                           ctx.cpa_makespan_p);
+    cpa::GuidelineSeries series = cpa::guideline_starts(
+        dag, ctx.order, ctx.cpa_alloc_p, cpa_order_p, p, params.cpa);
+    ctx.guideline_rel_p = std::move(series.start);
+    ctx.cpa_makespan_p = series.makespan;
   }
-  if (needs.guidelines == GuidelineSet::kQ)
-    ctx.guideline_rel_q = guideline_starts(dag, ctx.order, ctx.cpa_alloc_q,
-                                           cpa_order_q, q_hist, params.cpa,
-                                           ctx.cpa_makespan_q);
+  if (needs.guidelines == GuidelineSet::kQ) {
+    cpa::GuidelineSeries series = cpa::guideline_starts(
+        dag, ctx.order, ctx.cpa_alloc_q, cpa_order_q, q_hist, params.cpa);
+    ctx.guideline_rel_q = std::move(series.start);
+    ctx.cpa_makespan_q = series.makespan;
+  }
   return ctx;
 }
 

@@ -22,6 +22,15 @@
 // Phase 2 (mapping) list-schedules tasks in decreasing bottom-level order on
 // q reservation-free processors. When the reservation schedule is empty the
 // paper's BL_CPA_BD_CPA algorithm reduces to exactly this schedule.
+//
+// Both phases run on one flat kernel (src/cpa/kernel.hpp, DESIGN.md §11):
+// the tasks copied once per call into topological positions, successor and
+// predecessor lists remapped to positions, and scratch reused across runs.
+// allocations() runs it on the whole DAG. guideline_starts() — the
+// guideline primitive of both deadline schedulers — runs it at every step
+// of a backward order on the tasks still unscheduled, without building a
+// sub-DAG; subdag_guideline() is the rebuilt-sub-DAG formulation it must
+// match value for value, kept as the tests' oracle.
 #pragma once
 
 #include <span>
@@ -70,6 +79,27 @@ struct SubdagGuideline {
 };
 SubdagGuideline subdag_guideline(const dag::Dag& dag,
                                  const std::vector<bool>& keep, int q,
+                                 const Options& opts = {});
+
+/// The guideline series of a backward scheduling order (paper §5.2.2).
+struct GuidelineSeries {
+  /// start[order[k]]: the start of task order[k] in the CPA schedule, on q
+  /// processors from time 0, of the sub-DAG of tasks order[k, n) — the
+  /// tasks not yet scheduled when the backward pass reaches it.
+  std::vector<double> start;
+  /// The whole DAG's CPA makespan (the k = 0 schedule's).
+  double makespan = 0.0;
+};
+
+/// Computes the series value for value as subdag_guideline at every k
+/// would, on the parent DAG without building a sub-DAG. `alloc` must be
+/// allocations(dag, q, opts) and `cpa_order` dag::order_by_decreasing of
+/// its bottom levels; `order` must be backward (reverse(order) a
+/// topological order), else resched::Error.
+GuidelineSeries guideline_starts(const dag::Dag& dag,
+                                 std::span<const int> order,
+                                 std::span<const int> alloc,
+                                 std::span<const int> cpa_order, int q,
                                  const Options& opts = {});
 
 }  // namespace resched::cpa

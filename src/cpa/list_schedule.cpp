@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/cpa/kernel.hpp"
 #include "src/util/error.hpp"
 
 namespace resched::cpa {
@@ -15,27 +16,29 @@ std::vector<Placement> list_schedule(const dag::Dag& dag,
                 "priority order must cover every task");
   RESCHED_CHECK(q >= 1, "need at least one processor");
 
+  // The free times stay sorted ascending: claim_earliest merges each
+  // task's claimed slots back into place in O(q). Placement is tracked
+  // apart from the times, which may be negative.
   std::vector<double> proc_free(static_cast<std::size_t>(q), t0);
-  std::vector<Placement> placed(alloc.size(), Placement{-1.0, -1.0});
+  std::vector<Placement> placed(alloc.size());
+  std::vector<char> done(alloc.size(), 0);
 
   for (int task : order) {
+    RESCHED_CHECK(task >= 0 && task < dag.size(), "task index out of range");
     auto ti = static_cast<std::size_t>(task);
+    RESCHED_CHECK(done[ti] == 0, "priority order must list every task once");
     int k = alloc[ti];
     RESCHED_CHECK(k >= 1 && k <= q, "allocation outside [1, q]");
     double ready = t0;
     for (int pred : dag.predecessors(task)) {
-      const Placement& pp = placed[static_cast<std::size_t>(pred)];
-      RESCHED_CHECK(pp.finish >= 0.0,
+      const auto pi = static_cast<std::size_t>(pred);
+      RESCHED_CHECK(done[pi] != 0,
                     "priority order must schedule predecessors first");
-      ready = std::max(ready, pp.finish);
+      ready = std::max(ready, placed[pi].finish);
     }
-    // Claim the k processors that free up earliest: sorting proc_free makes
-    // the k-th smallest the gating availability.
-    std::sort(proc_free.begin(), proc_free.end());
-    double start = std::max(ready, proc_free[static_cast<std::size_t>(k - 1)]);
-    double finish = start + dag::exec_time(dag.cost(task), k);
-    for (int j = 0; j < k; ++j) proc_free[static_cast<std::size_t>(j)] = finish;
-    placed[ti] = Placement{start, finish};
+    placed[ti] = claim_earliest(proc_free, k, ready,
+                                dag::exec_time(dag.cost(task), k));
+    done[ti] = 1;
   }
   return placed;
 }

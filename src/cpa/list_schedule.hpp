@@ -21,8 +21,10 @@ struct Placement {
 };
 
 /// Schedules the whole DAG in `order` (a precedence-respecting priority
-/// order, usually decreasing bottom level) onto q processors starting at
-/// time t0. alloc[i] is task i's processor allocation, each in [1, q].
+/// order listing every task once, usually decreasing bottom level) onto q
+/// processors starting at time t0, which may be negative. alloc[i] is task
+/// i's processor allocation, each in [1, q]. Throws resched::Error when
+/// any of that does not hold.
 std::vector<Placement> list_schedule(const dag::Dag& dag,
                                      std::span<const int> alloc, int q,
                                      double t0, std::span<const int> order);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "src/util/error.hpp"
 
@@ -140,9 +141,9 @@ MultiDeadlineResult schedule_deadline_multi(const dag::Dag& dag,
   // the guideline schedule (cf. DeadlineContext in the single-cluster
   // implementation).
   auto alloc = cpa::allocations(dag, q_ref, params.cpa);
-  auto bl = dag::bottom_levels(dag, alloc);
-  auto order = dag::order_by_decreasing(dag, bl);
-  std::reverse(order.begin(), order.end());
+  const std::vector<int> cpa_order =
+      dag::order_by_decreasing(dag, dag::bottom_levels(dag, alloc));
+  const std::vector<int> order(cpa_order.rbegin(), cpa_order.rend());
 
   std::vector<std::vector<int>> bound(static_cast<std::size_t>(dag.size()));
   for (int v = 0; v < dag.size(); ++v) {
@@ -159,19 +160,11 @@ MultiDeadlineResult schedule_deadline_multi(const dag::Dag& dag,
   }
 
   // Guideline schedule on the reference cluster, time-scaled by its speed.
-  std::vector<double> guideline(static_cast<std::size_t>(dag.size()), 0.0);
-  double guideline_makespan = 0.0;
-  {
-    std::vector<bool> keep(static_cast<std::size_t>(dag.size()), true);
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      int task = order[k];
-      auto guide = cpa::subdag_guideline(dag, keep, q_ref, params.cpa);
-      if (k == 0) guideline_makespan = guide.makespan / speed_ref;
-      guideline[static_cast<std::size_t>(task)] =
-          guide.start[static_cast<std::size_t>(task)] / speed_ref;
-      keep[static_cast<std::size_t>(task)] = false;
-    }
-  }
+  cpa::GuidelineSeries series =
+      cpa::guideline_starts(dag, order, alloc, cpa_order, q_ref, params.cpa);
+  std::vector<double> guideline = std::move(series.start);
+  for (double& start : guideline) start /= speed_ref;
+  const double guideline_makespan = series.makespan / speed_ref;
 
   RESCHED_CHECK(params.lambda_step > 0.0, "lambda_step must be positive");
   for (double lambda = 0.0; lambda <= 1.0 + 1e-12;

@@ -13,6 +13,7 @@
 #include "src/core/tightest_deadline.hpp"
 #include "src/dag/daggen.hpp"
 #include "src/util/rng.hpp"
+#include "tests/tie_dags.hpp"
 
 namespace {
 
@@ -292,6 +293,11 @@ TEST(Deadline, ContextHoldsExactlyWhatEachAlgorithmReads) {
                     std::span<const std::pair<int, int>>{});
   for (std::uint64_t seed : {61ull, 62ull, 63ull})
     for (int n : {10, 30}) dags.push_back(Fixture::make_dag(seed, n));
+  // Ties decide: identical costs, zero-cost tasks, several components,
+  // reversed edge input and shuffled ids.
+  util::Rng tie_rng(64);
+  for (dag::Dag& d : tie_dags::tie_dags(tie_rng, 30))
+    dags.push_back(std::move(d));
 
   const int p = 64;
   for (const dag::Dag& d : dags)

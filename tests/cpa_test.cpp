@@ -1,8 +1,8 @@
 // Unit and property tests for the CPA algorithm (paper §4.2): allocation
 // phase invariants, the original vs improved stopping criterion, the
-// mapping phase (list scheduling), and sub-DAG guideline schedules — plus a
-// differential test of the allocation loop against the straightforward
-// sweep-per-grant formulation it replaced.
+// mapping phase (list scheduling), sub-DAG guideline schedules and the
+// guideline series — plus differential tests of the allocation loop, the
+// list schedule and the series against the formulations they replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include "src/dag/daggen.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
+#include "tests/tie_dags.hpp"
 
 namespace {
 
@@ -208,6 +209,10 @@ TEST(CpaAllocations, MatchesReferenceLoop) {
       dags.push_back(std::move(d));
     }
   }
+  // Ties decide: identical costs, zero-cost tasks, several components,
+  // reversed edge input and shuffled ids.
+  util::Rng tie_rng(78);
+  for (Dag& d : tie_dags::tie_dags(tie_rng, 40)) dags.push_back(std::move(d));
   for (const Dag& d : dags)
     for (int q : {1, 2, 7, 64, 430, 1152})
       for (auto crit : {cpa::Criterion::kOriginal, cpa::Criterion::kImproved})
@@ -287,6 +292,101 @@ TEST(ListSchedule, ValidatesInputs) {
                resched::Error);
 }
 
+TEST(ListSchedule, SchedulesBeforeTimeZero) {
+  // A schedule may start at a negative time; placement is tracked apart
+  // from the finish times, which are then negative too.
+  Dag d = chain(2, 3600.0, 0.0);
+  const std::vector<int> alloc{2, 2};
+  const std::vector<int> order{0, 1};
+  const auto at_zero = cpa::list_schedule(d, alloc, 4, 0.0, order);
+  const auto early = cpa::list_schedule(d, alloc, 4, -1000.0, order);
+  EXPECT_EQ(early[0].start, -1000.0);
+  EXPECT_EQ(early[1].start, early[0].finish);
+  EXPECT_EQ(cpa::makespan(early, -1000.0), cpa::makespan(at_zero, 0.0));
+  EXPECT_EQ(cpa::schedule(d, 4, -1000.0).makespan,
+            cpa::schedule(d, 4, 0.0).makespan);
+  const std::vector<int> successor_first{1, 0};
+  EXPECT_THROW(cpa::list_schedule(d, alloc, 4, -1000.0, successor_first),
+               resched::Error);
+  const std::vector<int> twice{0, 0};
+  EXPECT_THROW(cpa::list_schedule(d, alloc, 4, 0.0, twice), resched::Error);
+}
+
+/// The list schedule as it was before the free list stayed sorted: one
+/// std::sort of all q free times per placed task. Kept verbatim as the
+/// differential oracle for cpa::list_schedule's O(q) merge.
+std::vector<cpa::Placement> sort_loop_list_schedule(
+    const dag::Dag& dag, std::span<const int> alloc, int q, double t0,
+    std::span<const int> order) {
+  RESCHED_CHECK(static_cast<int>(alloc.size()) == dag.size(),
+                "allocation vector size must match DAG size");
+  RESCHED_CHECK(static_cast<int>(order.size()) == dag.size(),
+                "priority order must cover every task");
+  RESCHED_CHECK(q >= 1, "need at least one processor");
+
+  std::vector<double> proc_free(static_cast<std::size_t>(q), t0);
+  std::vector<cpa::Placement> placed(alloc.size(),
+                                     cpa::Placement{-1.0, -1.0});
+
+  for (int task : order) {
+    auto ti = static_cast<std::size_t>(task);
+    int k = alloc[ti];
+    RESCHED_CHECK(k >= 1 && k <= q, "allocation outside [1, q]");
+    double ready = t0;
+    for (int pred : dag.predecessors(task)) {
+      const cpa::Placement& pp = placed[static_cast<std::size_t>(pred)];
+      RESCHED_CHECK(pp.finish >= 0.0,
+                    "priority order must schedule predecessors first");
+      ready = std::max(ready, pp.finish);
+    }
+    // Claim the k processors that free up earliest: sorting proc_free makes
+    // the k-th smallest the gating availability.
+    std::sort(proc_free.begin(), proc_free.end());
+    double start = std::max(ready, proc_free[static_cast<std::size_t>(k - 1)]);
+    double finish = start + dag::exec_time(dag.cost(task), k);
+    for (int j = 0; j < k; ++j) proc_free[static_cast<std::size_t>(j)] = finish;
+    placed[ti] = cpa::Placement{start, finish};
+  }
+  return placed;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(ListSchedule, MergeMatchesSortLoop) {
+  // Random allocations, a quarter of them the whole machine (k = q), in
+  // the CPA priority order; identical-cost DAGs make many free times tie.
+  util::Rng rng(81);
+  std::vector<Dag> dags = tie_dags::tie_dags(rng, 60);
+  dags.push_back(chain(1));
+  for (int n : {3, 12, 50, 120}) {
+    dag::DagSpec spec;
+    spec.num_tasks = n;
+    dags.push_back(dag::generate(spec, rng));
+  }
+  for (const Dag& d : dags)
+    for (int q : {1, 2, 7, 64, 430})
+      for (int rep = 0; rep < 3; ++rep) {
+        std::vector<int> alloc;
+        for (int v = 0; v < d.size(); ++v)
+          alloc.push_back(rng.uniform(0.0, 1.0) < 0.25
+                              ? q
+                              : static_cast<int>(rng.uniform_int(1, q)));
+        const auto order =
+            dag::order_by_decreasing(d, dag::bottom_levels(d, alloc));
+        for (double t0 : {0.0, 7200.5}) {
+          const auto got = cpa::list_schedule(d, alloc, q, t0, order);
+          const auto want = sort_loop_list_schedule(d, alloc, q, t0, order);
+          for (int v = 0; v < d.size(); ++v) {
+            const auto vi = static_cast<std::size_t>(v);
+            ASSERT_EQ(bits(got[vi].start), bits(want[vi].start))
+                << "n=" << d.size() << " q=" << q << " task " << v;
+            ASSERT_EQ(bits(got[vi].finish), bits(want[vi].finish))
+                << "n=" << d.size() << " q=" << q << " task " << v;
+          }
+        }
+      }
+}
+
 TEST(CpaSchedule, MakespanAndCpuHoursConsistent) {
   util::Rng rng(8);
   dag::Dag d = dag::generate(dag::DagSpec{}, rng);
@@ -311,8 +411,6 @@ TEST(CpaSchedule, MoreProcessorsNeverHurtMuch) {
   double m64 = cpa::schedule(d, 64, 0.0).makespan;
   EXPECT_LT(m64, 1.5 * m8);
 }
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 TEST(SubdagGuideline, FullMaskMatchesFullSchedule) {
   // Bit for bit: the deadline context's k = 0 guideline list-schedules the
@@ -370,6 +468,94 @@ TEST(SubdagGuideline, ShrinksAsTasksAreRemoved) {
   keep[5] = false;
   auto partial = cpa::subdag_guideline(d, keep, 8);
   EXPECT_LT(partial.makespan, full.makespan);
+}
+
+/// A backward order: the reverse of a topological order that picks among
+/// the ready tasks at random.
+std::vector<int> random_backward_order(const Dag& d, util::Rng& rng) {
+  std::vector<int> indeg, ready, order;
+  for (int v = 0; v < d.size(); ++v) {
+    indeg.push_back(static_cast<int>(d.predecessors(v).size()));
+    if (indeg.back() == 0) ready.push_back(v);
+  }
+  while (!ready.empty()) {
+    const auto pick = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(ready.size()) - 1));
+    const int v = ready[pick];
+    ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(pick));
+    order.push_back(v);
+    for (int s : d.successors(v))
+      if (--indeg[static_cast<std::size_t>(s)] == 0) ready.push_back(s);
+  }
+  std::reverse(order.begin(), order.end());
+  return order;
+}
+
+TEST(GuidelineSeries, MatchesSubdagGuidelineAtEveryStep) {
+  // Bit for bit against the long way: subdag_guideline on the rebuilt
+  // sub-DAG of order[k, n) at every k, the k = 0 run giving the makespan.
+  // Both the deadline context's order (reverse CPA priority) and random
+  // backward orders, whose kept sets are other ancestor-closed sets.
+  util::Rng rng(91);
+  std::vector<Dag> dags = tie_dags::tie_dags(rng, 30);
+  dags.push_back(chain(1));
+  dags.push_back(chain(2));
+  dags.push_back(fork_join(1));
+  for (int n : {3, 20}) {
+    dag::DagSpec spec;
+    spec.num_tasks = n;
+    dags.push_back(dag::generate(spec, rng));
+  }
+  for (const Dag& d : dags)
+    for (int q : {1, 7, 64})
+      for (auto crit : {cpa::Criterion::kOriginal, cpa::Criterion::kImproved}) {
+        const cpa::Options opts{crit};
+        const auto alloc = cpa::allocations(d, q, opts);
+        const auto cpa_order =
+            dag::order_by_decreasing(d, dag::bottom_levels(d, alloc));
+        for (const auto& order :
+             {std::vector<int>(cpa_order.rbegin(), cpa_order.rend()),
+              random_backward_order(d, rng)}) {
+          const cpa::GuidelineSeries series =
+              cpa::guideline_starts(d, order, alloc, cpa_order, q, opts);
+          ASSERT_EQ(series.start.size(), static_cast<std::size_t>(d.size()));
+          std::vector<bool> keep(static_cast<std::size_t>(d.size()), true);
+          for (std::size_t k = 0; k < order.size(); ++k) {
+            const auto task = static_cast<std::size_t>(order[k]);
+            const auto guide = cpa::subdag_guideline(d, keep, q, opts);
+            if (k == 0) {
+              EXPECT_EQ(bits(series.makespan), bits(guide.makespan));
+            }
+            EXPECT_EQ(bits(series.start[task]), bits(guide.start[task]))
+                << "n=" << d.size() << " q=" << q << " k=" << k
+                << " criterion=" << static_cast<int>(crit);
+            keep[task] = false;
+          }
+        }
+      }
+}
+
+TEST(GuidelineSeries, RejectsAnOrderWhoseReverseIsNotTopological) {
+  // The series stands for the rebuilt sub-DAGs only when every kept set is
+  // ancestor-closed, so it checks the order in every build.
+  Dag d = fork_join(2);
+  const auto alloc = cpa::allocations(d, 8);
+  const auto cpa_order =
+      dag::order_by_decreasing(d, dag::bottom_levels(d, alloc));
+  const std::vector<int> backward(cpa_order.rbegin(), cpa_order.rend());
+  EXPECT_NO_THROW(cpa::guideline_starts(d, backward, alloc, cpa_order, 8));
+  const std::vector<int> forward{0, 1, 2, 3};  // predecessors first
+  EXPECT_THROW(cpa::guideline_starts(d, forward, alloc, cpa_order, 8),
+               resched::Error);
+  const std::vector<int> entry_early{3, 0, 1, 2};  // 0 before 1 and 2
+  EXPECT_THROW(cpa::guideline_starts(d, entry_early, alloc, cpa_order, 8),
+               resched::Error);
+  const std::vector<int> repeated{3, 1, 1, 0};
+  EXPECT_THROW(cpa::guideline_starts(d, repeated, alloc, cpa_order, 8),
+               resched::Error);
+  const std::vector<int> short_order{3, 2, 1};
+  EXPECT_THROW(cpa::guideline_starts(d, short_order, alloc, cpa_order, 8),
+               resched::Error);
 }
 
 }  // namespace

@@ -116,6 +116,36 @@ TEST(Integration, DeadlineComparisonReproducesCpuOrdering) {
   EXPECT_TRUE(std::isfinite(table.avg_degradation_pct(1, 0)));
 }
 
+TEST(Integration, DeadlineComparisonDeterministicAcrossThreadCounts) {
+  // The grid builds deadline contexts (and their guideline series) on
+  // several threads at once; the table must not depend on how many.
+  std::vector<sim::ScenarioSpec> grid = tiny_grid();
+  for (sim::ScenarioSpec& s : grid) s.app.num_tasks = 12;
+  std::vector<core::NamedDeadline> algos;
+  for (auto algo : {core::DlAlgo::kBdCpa, core::DlAlgo::kRcCpar}) {
+    core::NamedDeadline named;
+    named.name = core::to_string(algo);
+    named.params.algo = algo;
+    algos.push_back(named);
+  }
+  auto serial_cfg = tiny_config();
+  serial_cfg.threads = 1;
+  auto parallel_cfg = tiny_config();
+  parallel_cfg.threads = 4;
+
+  auto serial = sim::run_deadline_comparison(grid, algos, serial_cfg);
+  auto parallel = sim::run_deadline_comparison(grid, algos, parallel_cfg);
+  ASSERT_EQ(serial.scenarios(), 2);
+  ASSERT_EQ(serial.metrics().size(), 2u);
+  for (int a = 0; a < 2; ++a) {
+    for (int m = 0; m < 2; ++m) {
+      EXPECT_DOUBLE_EQ(serial.avg_degradation_pct(a, m),
+                       parallel.avg_degradation_pct(a, m));
+      EXPECT_EQ(serial.wins(a, m), parallel.wins(a, m));
+    }
+  }
+}
+
 TEST(Integration, TimingHarnessReportsAllAlgorithms) {
   std::vector<sim::ScenarioSpec> grid{tiny_grid()[0]};
   grid[0].app.num_tasks = 12;
