@@ -22,6 +22,11 @@
 //    the guideline series, the deadline path's fixed cost per admission.
 //    Counter: allocs_per_context (COUNTER_CEILINGS gate: the series reuses
 //    one kernel workspace instead of rebuilding a sub-DAG per task).
+//  * BM_AdmissionScaling — engine-style admissions of the same 10-task
+//    DAGs against calendars of ~500 and ~8000 breakpoints that differ
+//    only in how far ahead they are booked. SCALING_CAPS gate: the long
+//    calendar's admission costs at most 2x the short one's, within the
+//    run (a pass that copied the calendar would pay O(R) per pass).
 //  * BM_ChurnSteadyState — commit/release churn on a warm calendar. After
 //    warmup the treap node arena must serve every insert from its free
 //    list: the arena_chunk_allocs counter (delta of
@@ -52,6 +57,7 @@
 #include "src/core/dynamic.hpp"
 #include "src/core/ressched.hpp"
 #include "src/core/resscheddl.hpp"
+#include "src/core/tightest_deadline.hpp"
 #include "src/dag/daggen.hpp"
 #include "src/resv/arena.hpp"
 #include "src/resv/batch_scheduler.hpp"
@@ -268,6 +274,75 @@ void BM_DeadlineContext(benchmark::State& state) {
           : static_cast<double>(allocs) / static_cast<double>(contexts);
 }
 BENCHMARK(BM_DeadlineContext)->Unit(benchmark::kMicrosecond);
+
+// -- admission cost against long calendars --------------------------------
+//
+// Arg = target breakpoint count. The calendar books one reservation stream
+// at a fixed density (a start every 30 min on average, 0.5-3 h long, 1-16
+// of 64 procs, about half the machine busy), so the ~8000-breakpoint
+// calendar is the ~500-breakpoint one booked 80 days further ahead, the
+// way a daemon's calendar grows when backward passes place loose-deadline
+// jobs late. Every admission below lands in the shared first days, so both
+// sizes do the same scheduling work and differ only in calendar length.
+// Iterations alternate the engine's two admission paths over 8 DAGs x
+// q_hist {16, 40, 64}: a best-effort RESSCHED pass, then a DL_RCBD_CPAR-λ
+// attempt (finish-floor filter, fresh context) at 1.25x that job's
+// RESSCHED turnaround.
+
+resv::AvailabilityProfile make_booked_profile(int p, int breakpoints) {
+  util::Rng rng(0xB00C);
+  resv::ReservationList list;
+  for (int i = 0; i < breakpoints / 2; ++i) {
+    double start = (i + rng.uniform(0.0, 1.0)) * 1800.0;
+    double dur = rng.uniform(0.5, 3.0) * 3600.0;
+    list.push_back(
+        {start, start + dur, static_cast<int>(rng.uniform_int(1, 16))});
+  }
+  return resv::AvailabilityProfile(p, list);
+}
+
+void BM_AdmissionScaling(benchmark::State& state) {
+  const auto profile =
+      make_booked_profile(64, static_cast<int>(state.range(0)));
+  struct Job {
+    const dag::Dag* dag;
+    int q_hist;
+    double deadline;
+  };
+  std::vector<dag::Dag> apps;
+  for (std::uint64_t seed = 20; seed < 28; ++seed)
+    apps.push_back(make_dag(10, seed));
+  std::vector<Job> jobs;
+  core::ResschedParams fwd;
+  for (const dag::Dag& app : apps)
+    for (int q_hist : {16, 40, 64})
+      jobs.push_back({&app, q_hist,
+                      1.25 * core::schedule_ressched(app, profile, 0.0, q_hist,
+                                                     fwd)
+                                 .turnaround});
+  core::DeadlineParams dl;  // DL_RCBD_CPAR-λ, the engine default
+  std::uint64_t admissions = 0;
+  for (auto _ : state) {
+    const Job& job = jobs[(admissions / 2) % jobs.size()];
+    if (admissions % 2 == 0) {
+      benchmark::DoNotOptimize(
+          core::schedule_ressched(*job.dag, profile, 0.0, job.q_hist, fwd));
+    } else if (job.deadline >=
+               core::earliest_finish_floor(*job.dag, profile, 0.0)) {
+      benchmark::DoNotOptimize(core::schedule_deadline(
+          *job.dag, profile, 0.0, job.q_hist, job.deadline, dl));
+    }
+    ++admissions;
+  }
+  state.counters["admissions_per_sec"] = benchmark::Counter(
+      static_cast<double>(admissions), benchmark::Counter::kIsRate);
+  state.counters["breakpoints"] =
+      static_cast<double>(profile.breakpoints().size());
+}
+BENCHMARK(BM_AdmissionScaling)
+    ->Arg(500)
+    ->Arg(8000)
+    ->Unit(benchmark::kMicrosecond);
 
 // -- steady-state churn: the arena must not touch the heap ---------------
 

@@ -14,12 +14,12 @@ Fails (exit 1) when:
     show up as a red gate, not as silently skipped coverage);
   * any benchmark present in both files is slower than `factor` times its
     baseline real_time;
-  * a SPEEDUP_PAIRS, THROUGHPUT_BARS, or COUNTER_CEILINGS entry whose
-    benchmarks exist in the baseline is violated *within the current run*
-    (machine speed cancels out for pairs; bars are absolute floors;
-    ceilings are absolute maxima for machine-independent counters such as
-    allocation counts). Baselines without those benchmarks (e.g. the
-    RESSCHED smoke gate) skip the bars.
+  * a SPEEDUP_PAIRS, SCALING_CAPS, THROUGHPUT_BARS, or COUNTER_CEILINGS
+    entry whose benchmarks exist in the baseline is violated *within the
+    current run* (machine speed cancels out for pairs and caps; bars are
+    absolute floors; ceilings are absolute maxima for machine-independent
+    counters such as allocation counts). Baselines without those
+    benchmarks (e.g. the RESSCHED smoke gate) skip the bars.
 
 Current pairs / bars / ceilings:
 
@@ -33,6 +33,9 @@ Current pairs / bars / ceilings:
     worker count, so only wall-clock may move);
   * reschedd RPC     — pipelined submits over a unix socket sustain
     >= 10k RPCs/sec with a durable WAL (DESIGN.md §10 acceptance bar);
+  * admission scaling — an engine-style admission against a calendar of
+    ~8000 breakpoints costs at most 2x the same admission against ~500
+    (DESIGN.md §11, scratch calendars: no pass copies the calendar);
   * hot-path layout  — the RESSCHED sweep at Table-4 scale sustains
     >= 650 jobs/sec; heap allocations per job stay under the ceilings on
     the static, dynamic and blind scheduling paths, a DL_RCBD_CPAR-lambda
@@ -57,6 +60,13 @@ SPEEDUP_PAIRS = [
      "4-shard replay speedup over 1 shard"),
     ("BM_PdesReplay/1/real_time", "BM_PdesReplay/4/real_time", 2.0,
      "PDES windowed replay speedup at 4 workers over 1"),
+]
+
+# (large-input benchmark, small-input benchmark, maximum large/small
+# real_time ratio, label): how far a cost may grow with its input.
+SCALING_CAPS = [
+    ("BM_AdmissionScaling/8000", "BM_AdmissionScaling/500", 2.0,
+     "admission on an 8000- vs a 500-breakpoint calendar"),
 ]
 
 # (benchmark, counter, required minimum counter value, label)
@@ -153,6 +163,17 @@ def compare(baseline, current, factor):
         if speedup < minimum:
             failures.append(f"{label}: {speedup:.1f}x below the {minimum}x bar")
 
+    for large, small, maximum, label in SCALING_CAPS:
+        if large not in baseline or small not in baseline:
+            continue
+        if large not in current or small not in current:
+            failures.append(f"{label}: benchmarks missing from the current run")
+            continue
+        growth = current[large]["real_time"] / current[small]["real_time"]
+        lines.append(f"{label}: {growth:.2f}x (allowed <= {maximum}x)")
+        if growth > maximum:
+            failures.append(f"{label}: {growth:.2f}x above the {maximum}x cap")
+
     for name, counter, minimum, label in THROUGHPUT_BARS:
         if name not in baseline:
             continue
@@ -196,6 +217,8 @@ def self_test():
               allocs_per_job=13.0),
         bench("linear_earliest_fit/10000", 1000.0),
         bench("indexed_earliest_fit/10000", 100.0),
+        bench("BM_AdmissionScaling/500", 50.0),
+        bench("BM_AdmissionScaling/8000", 60.0),
     ]})
     good = parse({"benchmarks": [
         bench("BM_X/1", 110.0, widgets_per_sec=48.0),
@@ -204,6 +227,8 @@ def self_test():
               allocs_per_job=15.0),
         bench("linear_earliest_fit/10000", 1100.0),
         bench("indexed_earliest_fit/10000", 110.0),
+        bench("BM_AdmissionScaling/500", 45.0),
+        bench("BM_AdmissionScaling/8000", 55.0),
     ]})
 
     # (label, baseline, current, expect): expect is False (must pass), True
@@ -250,6 +275,21 @@ def self_test():
     cases.append(("pair benchmark missing from the current run fails", base,
                   missing_pair,
                   "linear oracle at 10k: benchmarks missing from the"
+                  " current run"))
+
+    # Both caps' benchmarks stay within the 2x factor of their baselines,
+    # so only the within-run growth cap can fail this.
+    over_cap = {name: dict(value) for name, value in good.items()}
+    over_cap["BM_AdmissionScaling/500"] = {"real_time": 30.0, "counters": {}}
+    over_cap["BM_AdmissionScaling/8000"] = {"real_time": 110.0,
+                                            "counters": {}}
+    cases.append(("scaling above its cap fails", base, over_cap,
+                  "above the 2.0x cap"))
+    missing_cap = {name: value for name, value in good.items()
+                   if name != "BM_AdmissionScaling/8000"}
+    cases.append(("cap benchmark missing from the current run fails", base,
+                  missing_cap,
+                  "500-breakpoint calendar: benchmarks missing from the"
                   " current run"))
 
     broken = 0

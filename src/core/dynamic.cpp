@@ -25,7 +25,7 @@ DynamicResult schedule_ressched_dynamic(
   auto order = dag::order_by_decreasing(dag, bl);
   auto bound = bd_bounds(dag, p, q_hist, params.bd, params.cpa);
 
-  resv::AvailabilityProfile profile = competing;
+  resv::AvailabilityProfile profile = competing.view();
   DynamicResult result;
   result.schedule.tasks.resize(static_cast<std::size_t>(dag.size()));
 

@@ -87,7 +87,8 @@ ResschedResult schedule_ressched(const dag::Dag& dag,
       share_cpa ? bl_alloc : bd_bounds(dag, p, q_hist, params.bd, params.cpa);
   std::uint64_t sweep_queries = 0;
 
-  resv::AvailabilityProfile profile = competing;  // tasks commit as we go
+  // Tasks commit as we go, on a copy-on-write view of the calendar.
+  resv::AvailabilityProfile profile = competing.view();
   ResschedResult result;
   result.schedule.tasks.resize(static_cast<std::size_t>(dag.size()));
 

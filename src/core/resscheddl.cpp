@@ -75,7 +75,7 @@ std::optional<AppSchedule> backward_pass(
   const double stretch =
       cpa_makespan > 0.0 ? std::max(1.0, (deadline - now) / cpa_makespan)
                          : 1.0;
-  resv::AvailabilityProfile profile = competing;
+  resv::AvailabilityProfile profile = competing.view();
   AppSchedule sched;
   sched.tasks.resize(static_cast<std::size_t>(dag.size()));
   std::vector<bool> placed(static_cast<std::size_t>(dag.size()), false);
@@ -150,6 +150,7 @@ ContextNeeds context_needs(DlAlgo algo) {
 DeadlineContext make_deadline_context(const dag::Dag& dag, int p, int q_hist,
                                       const DeadlineParams& params) {
   OBS_SPAN("core.resscheddl.context");
+  OBS_COUNT("core.resscheddl.contexts", 1);
   const ContextNeeds needs = context_needs(params.algo);
   DeadlineContext ctx;
   ctx.cpa_alloc_q = cpa::allocations(dag, q_hist, params.cpa);

@@ -46,16 +46,23 @@ TightestDeadlineResult tightest_deadline(
     const dag::Dag& dag, const resv::AvailabilityProfile& competing,
     double now, int q_hist, const DeadlineParams& params,
     const TightestDeadlineOptions& opts) {
-  OBS_PHASE("core.tightest_deadline");
   auto ctx = make_deadline_context(dag, competing.capacity(), q_hist, params);
+  return tightest_deadline(dag, competing, now, q_hist, params, ctx,
+                           earliest_finish_floor(dag, competing, now), opts);
+}
 
+TightestDeadlineResult tightest_deadline(
+    const dag::Dag& dag, const resv::AvailabilityProfile& competing,
+    double now, int q_hist, const DeadlineParams& params,
+    const DeadlineContext& ctx, double finish_floor,
+    const TightestDeadlineOptions& opts) {
+  OBS_PHASE("core.tightest_deadline");
   TightestDeadlineResult result;
   // Quick-infeasible filter: probes below the calendar-aware finish floor
   // are provably infeasible, so the backward pass is skipped. They still
   // count (++probes) and return exactly what schedule_deadline returns when
   // infeasible (a default DeadlineResult), so the search trajectory, probe
   // counts, and final answer are bit-identical with the filter off.
-  const double finish_floor = earliest_finish_floor(dag, competing, now);
   auto probe = [&](double deadline) {
     ++result.probes;
     if (deadline < finish_floor) {

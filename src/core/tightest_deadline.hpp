@@ -59,4 +59,15 @@ TightestDeadlineResult tightest_deadline(
     double now, int q_hist, const DeadlineParams& params,
     const TightestDeadlineOptions& opts = {});
 
+/// The same search on the deadline context and finish floor a caller has
+/// already built for this DAG, calendar, `now` and `q_hist`:
+/// `ctx` = make_deadline_context(dag, competing.capacity(), q_hist, params)
+/// and `finish_floor` = earliest_finish_floor(dag, competing, now). The
+/// online engine's counter-offers reuse its failed admission attempt's.
+TightestDeadlineResult tightest_deadline(
+    const dag::Dag& dag, const resv::AvailabilityProfile& competing,
+    double now, int q_hist, const DeadlineParams& params,
+    const DeadlineContext& ctx, double finish_floor,
+    const TightestDeadlineOptions& opts = {});
+
 }  // namespace resched::core

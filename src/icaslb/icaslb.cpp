@@ -18,7 +18,7 @@ core::AppSchedule place(const dag::Dag& dag, const std::vector<int>& alloc,
                         const resv::AvailabilityProfile& base, double now) {
   auto bl = dag::bottom_levels(dag, alloc);
   auto order = dag::order_by_decreasing(dag, bl);
-  resv::AvailabilityProfile profile = base;
+  resv::AvailabilityProfile profile = base.view();
   core::AppSchedule sched;
   sched.tasks.resize(static_cast<std::size_t>(dag.size()));
   for (int task : order) {

@@ -80,7 +80,7 @@ std::optional<MultiDeadlineResult> backward_pass(
                          : 1.0;
   std::vector<resv::AvailabilityProfile> calendars;
   for (int c = 0; c < platform.num_clusters(); ++c)
-    calendars.push_back(platform.cluster(c).calendar);
+    calendars.push_back(platform.cluster(c).calendar.view());
 
   MultiDeadlineResult result;
   result.schedule.tasks.resize(static_cast<std::size_t>(dag.size()));

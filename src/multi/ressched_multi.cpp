@@ -47,11 +47,12 @@ MultiResult schedule_ressched_multi(const dag::Dag& dag,
   for (double& v : bl) v /= speed_ref;  // uniform speed scaling; order-safe
   auto order = dag::order_by_decreasing(dag, bl);
 
-  // Per-cluster working calendars (task reservations commit as we go).
+  // Per-cluster working calendars (task reservations commit as we go), as
+  // copy-on-write views of the platform's.
   std::vector<resv::AvailabilityProfile> calendars;
   calendars.reserve(static_cast<std::size_t>(num_clusters));
   for (int c = 0; c < num_clusters; ++c)
-    calendars.push_back(platform.cluster(c).calendar);
+    calendars.push_back(platform.cluster(c).calendar.view());
 
   MultiResult result;
   result.schedule.tasks.resize(static_cast<std::size_t>(dag.size()));

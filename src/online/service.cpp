@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "src/obs/obs.hpp"
@@ -348,10 +349,20 @@ void SchedulerService::schedule_job(const JobSubmission& job, double t,
   core::finish_floor_queries(job.dag, profile_->capacity(), t, floor_queries_);
   const double floor =
       core::evaluate_finish_floor(floor_queries_, *profile_, t);
+  // One deadline context serves the admission attempt and, when that
+  // fails, every probe of the counter-offer search; it is built only when
+  // one of them runs.
+  std::optional<core::DeadlineContext> ctx;
+  auto context = [&]() -> const core::DeadlineContext& {
+    if (!ctx)
+      ctx = core::make_deadline_context(job.dag, profile_->capacity(), q_hist,
+                                        config_.deadline);
+    return *ctx;
+  };
   core::DeadlineResult dl;
   if (*job.deadline >= floor)
     dl = core::schedule_deadline(job.dag, *profile_, t, q_hist, *job.deadline,
-                                 config_.deadline);
+                                 config_.deadline, context());
   if (dl.feasible) {
     commit_schedule(job, t, seq, dl.schedule, Decision::kAccepted, kNaN);
     return;
@@ -365,7 +376,8 @@ void SchedulerService::schedule_job(const JobSubmission& job, double t,
   // the schedule achieving it; the submitter's stretch rule then accepts or
   // rolls back.
   auto tight = core::tightest_deadline(job.dag, *profile_, t, q_hist,
-                                       config_.deadline, config_.tightest);
+                                       config_.deadline, context(), floor,
+                                       config_.tightest);
   RESCHED_ASSERT(tight.at_deadline.feasible,
                  "tightest-deadline search must end feasible");
   commit_schedule(job, t, seq, tight.at_deadline.schedule,

@@ -1,19 +1,20 @@
 // Pool allocator for the calendar hot path (DESIGN.md §11).
 //
 // Treap nodes churn constantly in steady state: every reservation
-// add/release materializes and erases breakpoints, every RESSCHED pass
-// clones a whole calendar, and long-running engines compact old segments
-// away. Hitting the global allocator for each ~64-byte node costs more
-// than the tree operation itself once the index is fast, so nodes come
-// from an Arena:
+// add/release materializes and erases breakpoints, every scheduling pass
+// copies the O(log R) nodes its adds touch into its copy-on-write view of
+// the calendar, and long-running engines compact old segments away.
+// Hitting the global allocator for each 64-byte node costs more than the
+// tree operation itself once the index is fast, so nodes come from an
+// Arena:
 //
 //   * slots are carved from fixed-size chunks (one allocation per
 //     kChunkSlots nodes) and recycled through a per-arena intrusive free
 //     list, so steady-state mutation never leaves the arena;
 //   * retired chunks park in a bounded thread-local cache instead of being
-//     freed, so even arena construction/destruction (one per calendar
-//     clone in the RESSCHED/RESSCHEDDL passes) stops touching the heap
-//     once a thread is warm;
+//     freed, so arena construction/destruction (one per scratch view a
+//     RESSCHED/RESSCHEDDL pass writes, one per deep copy) stops touching
+//     the heap once a thread is warm;
 //   * every fall-through to `::operator new` is tallied in a process-wide
 //     counter (`arena_heap_allocs()`), which the perf-CI allocation gate
 //     and the steady-state regression tests watch: an accidental heap
@@ -46,8 +47,8 @@ inline std::atomic<std::uint64_t>& heap_alloc_counter() {
 }
 
 /// Bounded thread-local cache of retired chunks of `kBytes` each. Keeping a
-/// handful per thread is enough to make calendar clone/destroy cycles
-/// allocation-free; anything beyond the cap goes back to the heap.
+/// handful per thread is enough to make calendar view and copy/destroy
+/// cycles allocation-free; anything beyond the cap goes back to the heap.
 template <std::size_t kBytes>
 class ChunkCache {
  public:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "src/obs/obs.hpp"
 #include "src/util/error.hpp"
@@ -23,6 +24,16 @@ AvailabilityProfile::AvailabilityProfile(
     int capacity, std::span<const Reservation> reservations)
     : AvailabilityProfile(capacity) {
   for (const Reservation& r : reservations) add(r);
+}
+
+AvailabilityProfile::AvailabilityProfile(StepIndex index, int capacity,
+                                         int reservation_count)
+    : index_(std::move(index)),
+      capacity_(capacity),
+      reservation_count_(reservation_count) {}
+
+AvailabilityProfile AvailabilityProfile::view() const {
+  return AvailabilityProfile(index_.view(), capacity_, reservation_count_);
 }
 
 void AvailabilityProfile::add(const Reservation& r) {

@@ -21,8 +21,11 @@
 // Over-subscribed instants (more reserved than capacity, possible when
 // synthetic transforms inject reservations) clamp to zero availability.
 //
-// Thread safety: const queries are safe from any number of threads while
-// nothing mutates the profile.
+// Scheduling passes plan on view(), a copy-on-write scratch copy, instead
+// of a deep copy of the calendar (DESIGN.md §11, "Scratch calendars").
+//
+// Thread safety: const queries, view() included, are safe from any number
+// of threads while nothing mutates the profile.
 #pragma once
 
 #include <optional>
@@ -43,6 +46,17 @@ class AvailabilityProfile {
 
   /// Profile with an initial set of competing reservations.
   AvailabilityProfile(int capacity, std::span<const Reservation> reservations);
+
+  /// Copy-on-write scratch copy for one scheduling pass. O(1) to take:
+  /// the view shares this profile's treap nodes and copies only the
+  /// O(log R) nodes each of its own mutations touches, so a pass of n adds
+  /// costs O(n log R) rather than a copy of all R breakpoints. It answers
+  /// every query exactly as a deep copy given the same mutations would.
+  /// Lifetime rule: this profile must outlive the view and must not be
+  /// mutated, assigned or moved from while the view lives; const queries
+  /// and further views of it stay safe, from any thread. Moving a view
+  /// keeps it a view; copying one makes an independent deep copy.
+  AvailabilityProfile view() const;
 
   int capacity() const { return capacity_; }
   /// Number of reservations added so far.
@@ -142,6 +156,8 @@ class AvailabilityProfile {
   std::vector<std::pair<double, int>> canonical_steps() const;
 
  private:
+  AvailabilityProfile(StepIndex index, int capacity, int reservation_count);
+
   StepIndex index_;  // treap over the availability steps; -inf sentinel
   int capacity_;
   int reservation_count_ = 0;

@@ -1,6 +1,7 @@
 #include "src/resv/step_index.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -20,24 +21,34 @@ std::uint64_t splitmix(std::uint64_t& state) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
+
+/// A fresh ownership tag. 64 bits never wrap in practice (584 years at
+/// 10^9 tags a second), and tag 0 is never issued.
+std::uint64_t fresh_tag() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 }  // namespace
 
-StepIndex::StepIndex(int base_value) : prio_state_(0x5eedc0ffee15900dULL) {
-  root_ = pool_.create(kNegInf, base_value, next_prio());
+StepIndex::StepIndex(int base_value)
+    : prio_state_(0x5eedc0ffee15900dULL), tag_(fresh_tag()) {
+  root_ = pool_.create(kNegInf, base_value, next_prio(), tag_);
   size_ = 1;
 }
 
 StepIndex::StepIndex(const StepIndex& other)
-    : root_(clone(other.root_)),
-      size_(other.size_),
-      prio_state_(other.prio_state_) {}
+    : size_(other.size_), prio_state_(other.prio_state_), tag_(fresh_tag()) {
+  root_ = clone(other.root_);
+}
 
 StepIndex& StepIndex::operator=(const StepIndex& other) {
   if (this == &other) return *this;
   // Nodes are trivially destructible: dropping the arena wholesale frees
   // every node without walking the tree, and the fresh arena reuses the
-  // thread's cached chunks.
+  // thread's cached chunks. The new tree gets a new tag, so nothing that
+  // shared the old one can be written through this index.
   pool_ = Arena<Node>();
+  tag_ = fresh_tag();
   root_ = clone(other.root_);
   size_ = other.size_;
   prio_state_ = other.prio_state_;
@@ -48,7 +59,8 @@ StepIndex::StepIndex(StepIndex&& other) noexcept
     : pool_(std::move(other.pool_)),
       root_(std::exchange(other.root_, nullptr)),
       size_(std::exchange(other.size_, 0)),
-      prio_state_(other.prio_state_) {}
+      prio_state_(other.prio_state_),
+      tag_(other.tag_) {}
 
 StepIndex& StepIndex::operator=(StepIndex&& other) noexcept {
   if (this == &other) return *this;
@@ -56,8 +68,17 @@ StepIndex& StepIndex::operator=(StepIndex&& other) noexcept {
   root_ = std::exchange(other.root_, nullptr);
   size_ = std::exchange(other.size_, 0);
   prio_state_ = other.prio_state_;
+  tag_ = other.tag_;
   return *this;
 }
+
+StepIndex::StepIndex(const StepIndex& base, SharedTree)
+    : root_(base.root_),
+      size_(base.size_),
+      prio_state_(base.prio_state_),
+      tag_(fresh_tag()) {}
+
+StepIndex StepIndex::view() const { return StepIndex(*this, SharedTree{}); }
 
 StepIndex::~StepIndex() = default;  // arena teardown frees every node
 
@@ -69,7 +90,9 @@ StepIndex::PoolStats StepIndex::pool_stats() const {
 std::uint64_t StepIndex::next_prio() { return splitmix(prio_state_); }
 
 void StepIndex::destroy(Node* n) {
-  if (!n) return;
+  // A shared node heads a subtree of shared nodes (ownership invariant):
+  // they belong to the base, so the walk stops there.
+  if (!n || n->owner != tag_) return;
   destroy(n->l);
   destroy(n->r);
   pool_.destroy(n);
@@ -78,11 +101,20 @@ void StepIndex::destroy(Node* n) {
 StepIndex::Node* StepIndex::clone(const Node* n) {
   if (!n) return nullptr;
   Node* c = pool_.create(*n);
+  c->owner = tag_;
   c->l = clone(n->l);
   c->r = clone(n->r);
   return c;
 }
 
+StepIndex::Node* StepIndex::own(Node* n) {
+  if (!n || n->owner == tag_) return n;
+  Node* c = pool_.create(*n);  // children stay shared
+  c->owner = tag_;
+  return c;
+}
+
+// n must be owned: apply writes it in place.
 void StepIndex::apply(Node* n, int delta) {
   if (!n || delta == 0) return;
   n->value += delta;
@@ -93,6 +125,8 @@ void StepIndex::apply(Node* n, int delta) {
 
 void StepIndex::push(Node* n) {
   if (n->pending != 0) {
+    n->l = own(n->l);
+    n->r = own(n->r);
     apply(n->l, n->pending);
     apply(n->r, n->pending);
     n->pending = 0;
@@ -119,11 +153,13 @@ StepIndex::Node* StepIndex::merge(Node* a, Node* b) {
   if (!a) return b;
   if (!b) return a;
   if (a->prio >= b->prio) {
+    a = own(a);
     push(a);
     a->r = merge(a->r, b);
     pull(a);
     return a;
   }
+  b = own(b);
   push(b);
   b->l = merge(a, b->l);
   pull(b);
@@ -136,6 +172,7 @@ void StepIndex::split(Node* t, double key, bool keep_equal_left, Node*& a,
     a = b = nullptr;
     return;
   }
+  t = own(t);
   push(t);
   bool to_left = keep_equal_left ? (t->key <= key) : (t->key < key);
   if (to_left) {
@@ -182,7 +219,7 @@ void StepIndex::insert(double key, int value) {
   OBS_COUNT("resv.index.treap_rebalances", 1);
   Node *a, *b;
   split(root_, key, /*keep_equal_left=*/false, a, b);
-  root_ = merge(merge(a, pool_.create(key, value, next_prio())), b);
+  root_ = merge(merge(a, pool_.create(key, value, next_prio(), tag_)), b);
   ++size_;
 }
 
@@ -192,7 +229,7 @@ void StepIndex::erase(double key) {
   split(root_, key, /*keep_equal_left=*/false, a, rest);
   split(rest, key, /*keep_equal_left=*/true, mid, b);
   RESCHED_ASSERT(mid && !mid->l && !mid->r, "erase of an absent breakpoint");
-  pool_.destroy(mid);
+  destroy(mid);  // owned: split copies every node it cuts through
   --size_;
   root_ = merge(a, b);
 }
@@ -248,10 +285,10 @@ void StepIndex::compact(double horizon) {
     self(self, n->r);
   };
   count(count, dropped);
-  destroy(dropped);  // recycles the slots into the arena's free list
+  destroy(dropped);  // recycles the owned slots into the arena's free list
   size_ -= dropped_count;
 
-  Node* sentinel = pool_.create(kNegInf, value_at_horizon, next_prio());
+  Node* sentinel = pool_.create(kNegInf, value_at_horizon, next_prio(), tag_);
   ++size_;
   // The first surviving breakpoint may now repeat the sentinel's value.
   if (kept && kept->min_key != kNegInf) {

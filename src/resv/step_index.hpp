@@ -28,9 +28,15 @@
 //
 // Nodes live in a per-index Arena (src/resv/arena.hpp): erases recycle
 // slots through the arena's free list and whole-index teardown drops the
-// chunks wholesale, so steady-state calendar churn — including the
-// calendar clones every RESSCHED/RESSCHEDDL pass makes — never reaches the
+// chunks wholesale, so steady-state calendar churn never reaches the
 // global allocator once the thread's chunk cache is warm (DESIGN.md §11).
+//
+// Scheduling passes do not copy the calendar they plan against: view()
+// is an O(1) copy-on-write scratch copy that shares the base's nodes.
+// Every node carries the tag of the one index allowed to write it in
+// place; a view copies a foreign node into its own arena the first time a
+// mutation reaches it, so n adds on a view copy O(n log R) nodes and never
+// write the base (DESIGN.md §11, "Scratch calendars").
 #pragma once
 
 #include <cstdint>
@@ -50,6 +56,15 @@ class StepIndex {
   StepIndex(StepIndex&& other) noexcept;
   StepIndex& operator=(StepIndex&& other) noexcept;
   ~StepIndex();
+
+  /// Copy-on-write scratch copy of this index, O(1): the view starts out
+  /// sharing every node and copies a node only when one of its own
+  /// mutations would write it, so this index is never written through it.
+  /// Lifetime rule: this index must outlive the view and must not be
+  /// mutated, assigned or moved from while the view lives. Moving the view
+  /// keeps its sharing; copying it (or copy-assigning from it) makes an
+  /// independent deep copy.
+  StepIndex view() const;
 
   /// Number of breakpoints, including the -inf sentinel.
   std::size_t size() const { return size_; }
@@ -105,27 +120,44 @@ class StepIndex {
   // size its slots; still an implementation detail.
   struct Node {
     double key;
+    double min_key;  // leftmost key in subtree (lazy-independent)
     std::uint64_t prio;
+    std::uint64_t owner;  // tag of the only index that may write this node
+    Node* l = nullptr;
+    Node* r = nullptr;
     int value;    // segment value; stale by the sum of ancestors' pending
     int min_val;  // subtree aggregates, same staleness convention
     int max_val;
-    double min_key;  // leftmost key in subtree (lazy-independent)
     int pending = 0;
-    Node* l = nullptr;
-    Node* r = nullptr;
 
-    Node(double k, int v, std::uint64_t p)
-        : key(k), prio(p), value(v), min_val(v), max_val(v), min_key(k) {}
+    Node(double k, int v, std::uint64_t p, std::uint64_t tag)
+        : key(k),
+          min_key(k),
+          prio(p),
+          owner(tag),
+          value(v),
+          min_val(v),
+          max_val(v) {}
   };
+
+  // Ownership invariant: a node this index does not own (one shared with
+  // the index it was viewed from) never points to a node it does own, so
+  // every walk that frees or rewrites nodes stops at the first shared one.
+  // Writers therefore take nodes through own(), which hands back a private
+  // copy of a shared node; the caller relinks it in place of the original.
+  Node* own(Node* n);
+
+  /// view(): shares base's tree under a fresh tag, with an empty arena.
+  struct SharedTree {};
+  StepIndex(const StepIndex& base, SharedTree);
 
   void destroy(Node* n);
   Node* clone(const Node* n);
   static void apply(Node* n, int delta);
-  static void push(Node* n);
+  void push(Node* n);
   static void pull(Node* n);
-  static Node* merge(Node* a, Node* b);
-  static void split(Node* t, double key, bool keep_equal_left, Node*& a,
-                    Node*& b);
+  Node* merge(Node* a, Node* b);
+  void split(Node* t, double key, bool keep_equal_left, Node*& a, Node*& b);
 
   bool contains_key(double t) const;
   void insert(double key, int value);
@@ -139,6 +171,9 @@ class StepIndex {
   Node* root_ = nullptr;
   std::size_t size_ = 0;
   std::uint64_t prio_state_;
+  // Unique for the life of the process (a 64-bit counter, never reused):
+  // a tag that recurred could let a view write a node of its base.
+  std::uint64_t tag_;
 };
 
 }  // namespace resched::resv

@@ -8,6 +8,9 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/core/tightest_deadline.hpp"
+#include "src/dag/daggen.hpp"
+#include "src/obs/obs.hpp"
 #include "src/online/event_queue.hpp"
 #include "src/online/replay.hpp"
 #include "src/online/service.hpp"
@@ -368,6 +371,107 @@ TEST(AdmissionControl, AuditedRollbackReleasesEveryPartialAllocation) {
   service.run_all();
   EXPECT_EQ(service.metrics().accepted(), 1);
   EXPECT_EQ(service.metrics().completed(), 1);
+}
+
+/// What the engine decided for one deadline job before counter-offers
+/// reused the admission attempt's context and floor: the floor, the
+/// attempt and the tightest-deadline search each built from scratch.
+struct Admission {
+  Decision decision = Decision::kRejected;
+  double counter_offer = 0.0;
+  core::AppSchedule schedule;
+};
+
+Admission admit_rebuilding_everything(const ServiceConfig& config,
+                                      AvailabilityProfile calendar,
+                                      const JobSubmission& job) {
+  const double t = job.submit;
+  if (config.compact_calendar) calendar.compact(t - config.history_window);
+  const int q_hist =
+      resv::historical_average_available(calendar, t, config.history_window);
+  core::DeadlineResult dl;
+  if (*job.deadline >= core::earliest_finish_floor(job.dag, calendar, t))
+    dl = core::schedule_deadline(job.dag, calendar, t, q_hist, *job.deadline,
+                                 config.deadline);
+  if (dl.feasible) return {Decision::kAccepted, 0.0, dl.schedule};
+  auto tight = core::tightest_deadline(job.dag, calendar, t, q_hist,
+                                       config.deadline, config.tightest);
+  return {Decision::kCounterOffered, tight.deadline,
+          tight.at_deadline.schedule};
+}
+
+std::uint64_t contexts_built() {
+  for (const obs::CounterSample& c : obs::registry().snapshot().counters)
+    if (c.name == "core.resscheddl.contexts") return c.value;
+  return 0;
+}
+
+TEST(AdmissionControl, CounterOfferReusesTheAdmissionAttemptsContext) {
+#ifdef RESCHED_OBS_DISABLED
+  GTEST_SKIP() << "metrics are compiled out";
+#else
+  ServiceConfig config = small_config();
+  config.admission = AdmissionPolicy::kCounterOffer;
+  util::Rng rng(0xC0FF);
+  dag::DagSpec spec;
+  spec.num_tasks = 10;
+  const dag::Dag wide = dag::generate(spec, rng);
+  struct Scenario {
+    std::vector<Reservation> calendar;
+    JobSubmission job;
+  };
+  const std::vector<Scenario> scenarios = {
+      // Deadline above the finish floor but below the chain's 300 s: the
+      // admission attempt runs, fails, and the search takes over.
+      {{}, {7, 1.0, chain_dag(3, 100.0), 250.0}},
+      // Deadline below the floor: no attempt, only the search.
+      {{{0.0, 10000.0, 8}}, {7, 1.0, chain_dag(3, 100.0), 500.0}},
+      // A random DAG on a part-booked calendar with a tight deadline.
+      {{{0.0, 4000.0, 5}, {6000.0, 9000.0, 3}, {2000.0, 20000.0, 2}},
+       {7, 1.0, wide, 20000.0}},
+      // A feasible deadline: accepted on the first attempt.
+      {{{0.0, 4000.0, 5}}, {7, 1.0, chain_dag(3, 100.0), 5000.0}},
+  };
+
+  std::uint64_t engine_contexts = 0, rebuilt_contexts = 0;
+  obs::set_metrics_enabled(true);
+  for (std::size_t k = 0; k < scenarios.size(); ++k) {
+    const Scenario& sc = scenarios[k];
+    SchedulerService service(config);
+    for (const Reservation& r : sc.calendar) service.submit_reservation(0.0, r);
+    service.run_until(0.0);
+    const AvailabilityProfile calendar = service.profile();
+
+    obs::registry().reset();
+    service.submit(sc.job);
+    service.run_until(sc.job.submit);
+    ASSERT_EQ(service.outcomes().size(), 1u);
+    const std::uint64_t built = contexts_built();
+    EXPECT_EQ(built, 1u) << "scenario " << k;  // one per deadline admission
+    engine_contexts += built;
+
+    obs::registry().reset();
+    const Admission want =
+        admit_rebuilding_everything(config, calendar, sc.job);
+    rebuilt_contexts += contexts_built();
+
+    const auto& got = service.outcomes()[0];
+    EXPECT_EQ(got.decision, want.decision) << "scenario " << k;
+    if (want.decision == Decision::kCounterOffered) {
+      EXPECT_EQ(got.counter_offer, want.counter_offer) << "scenario " << k;
+    }
+    ASSERT_EQ(got.schedule.tasks.size(), want.schedule.tasks.size());
+    for (std::size_t i = 0; i < want.schedule.tasks.size(); ++i) {
+      EXPECT_EQ(got.schedule.tasks[i].procs, want.schedule.tasks[i].procs);
+      EXPECT_EQ(got.schedule.tasks[i].start, want.schedule.tasks[i].start);
+      EXPECT_EQ(got.schedule.tasks[i].finish, want.schedule.tasks[i].finish);
+    }
+  }
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(engine_contexts, scenarios.size());
+  // Scenarios 1 and 3 used to build a second context for the search.
+  EXPECT_EQ(rebuilt_contexts, scenarios.size() + 2);
+#endif
 }
 
 TEST(Service, BestEffortJobsAlwaysScheduled) {

@@ -8,8 +8,9 @@
 //   * steady-state churn must not touch the heap: the process-wide
 //     resv::arena_heap_allocs() counter is a deterministic regression
 //     signal where wall-clock noise would hide an accidental allocation;
-//   * calendar clones (one per RESSCHED/RESSCHEDDL pass) must be served
-//     from the thread-local chunk cache once the thread is warm.
+//   * deep calendar copies, and the copy-on-write views every
+//     RESSCHED/RESSCHEDDL pass writes, must be served from the
+//     thread-local chunk cache once the thread is warm.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -143,7 +144,7 @@ TEST(ResvArena, CloneChurnIsServedFromTheChunkCache) {
 
   // First clone may pull fresh chunks; destroying it parks them in the
   // thread-local cache, so every later clone of the same working set is
-  // heap-free — the RESSCHED inner loop clones a calendar per pass.
+  // heap-free.
   { AvailabilityProfile warmup = profile; }
   const std::uint64_t before = resv::arena_heap_allocs();
   for (int i = 0; i < 32; ++i) {
@@ -152,6 +153,29 @@ TEST(ResvArena, CloneChurnIsServedFromTheChunkCache) {
   }
   EXPECT_EQ(resv::arena_heap_allocs() - before, 0u)
       << "calendar clones bypassed the thread-local chunk cache";
+}
+
+TEST(ResvArena, ViewChurnIsServedFromTheChunkCache) {
+  constexpr int kCapacity = 64;
+  util::Rng rng(0xC11);
+  AvailabilityProfile profile(kCapacity);
+  for (int i = 0; i < 300; ++i)
+    profile.add(random_reservation(rng, kCapacity));
+
+  // The scheduling passes' pattern: take a view, commit a few tasks to it,
+  // drop it. Its copied nodes fit one chunk, recycled through the cache.
+  {
+    AvailabilityProfile warmup = profile.view();
+    warmup.add({1000.0, 2000.0, 3});
+  }
+  const std::uint64_t before = resv::arena_heap_allocs();
+  for (int i = 0; i < 32; ++i) {
+    AvailabilityProfile view = profile.view();
+    for (int k = 0; k < 10; ++k)
+      view.add({1000.0 + 500.0 * k, 1400.0 + 500.0 * k, 3});
+  }
+  EXPECT_EQ(resv::arena_heap_allocs() - before, 0u)
+      << "scratch views bypassed the thread-local chunk cache";
 }
 
 TEST(ResvArena, PoolStatsAccountForFreeListReuse) {

@@ -9,17 +9,28 @@
 // mismatch the harness greedily deletes op-groups (an add with its paired
 // release, a commit with its rollback) while the failure reproduces, then
 // reports the minimal sequence.
+//
+// Copy-on-write views (AvailabilityProfile::view()) get the same treatment:
+// every view must answer exactly as a deep copy given the same ops, and as
+// the oracle does, without ever writing the calendar it was taken from —
+// including when many threads schedule against one shared calendar.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <latch>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/core/ressched.hpp"
+#include "src/core/resscheddl.hpp"
+#include "src/dag/daggen.hpp"
 #include "src/resv/linear_profile.hpp"
 #include "src/resv/profile.hpp"
+#include "src/resv/step_index.hpp"
 #include "src/util/rng.hpp"
 
 namespace {
@@ -37,6 +48,7 @@ struct Op {
   Reservation r;                    // kAdd / kRelease
   std::vector<Reservation> group;   // kCommit
   double horizon = 0.0;             // kCompact
+  bool on_view = false;  // view suite: applied to the views, not the base
 };
 
 const char* to_string(Op::Kind kind) {
@@ -53,7 +65,7 @@ const char* to_string(Op::Kind kind) {
 std::string describe(const Op& op) {
   std::ostringstream out;
   out.precision(17);
-  out << to_string(op.kind) << "#" << op.id;
+  out << to_string(op.kind) << "#" << op.id << (op.on_view ? " [view]" : "");
   if (op.kind == Op::kAdd || op.kind == Op::kRelease)
     out << " {" << op.r.start << ", " << op.r.end << ", " << op.r.procs << "}";
   if (op.kind == Op::kCommit) out << " (" << op.group.size() << " resv)";
@@ -257,9 +269,10 @@ std::optional<std::string> run_sequence(std::uint64_t seed,
 }
 
 /// Greedy group-wise shrinker: removes every op sharing an id at once (so
-/// adds keep their releases, commits their rollbacks) while the failure
-/// still reproduces.
-std::vector<Op> shrink(std::uint64_t seed, std::vector<Op> ops, int capacity) {
+/// adds keep their releases, commits their rollbacks) while `fails` still
+/// reports a failure.
+template <typename Fails>
+std::vector<Op> shrink(std::vector<Op> ops, const Fails& fails) {
   bool changed = true;
   while (changed) {
     changed = false;
@@ -272,7 +285,7 @@ std::vector<Op> shrink(std::uint64_t seed, std::vector<Op> ops, int capacity) {
       for (const Op& op : ops)
         if (op.id != id) candidate.push_back(op);
       if (candidate.size() == ops.size()) continue;
-      if (run_sequence(seed, candidate, capacity)) {
+      if (fails(candidate)) {
         ops = std::move(candidate);
         changed = true;
       }
@@ -281,24 +294,315 @@ std::vector<Op> shrink(std::uint64_t seed, std::vector<Op> ops, int capacity) {
   return ops;
 }
 
+/// Runs `ops` through `run` (which returns a diagnostic on failure) and, on
+/// a failure, fails the test with the minimal sequence that still fails.
+template <typename Run>
+void expect_sequence_passes(std::uint64_t seed, int capacity,
+                            const std::vector<Op>& ops, const Run& run) {
+  auto failure = run(ops);
+  if (!failure) return;
+  auto minimal = shrink(ops, [&](const std::vector<Op>& candidate) {
+    return run(candidate).has_value();
+  });
+  std::ostringstream out;
+  out << *failure << "\nminimal failing sequence (seed " << seed
+      << ", capacity " << capacity << ", " << minimal.size() << " ops):\n";
+  for (const Op& op : minimal) out << "  " << describe(op) << "\n";
+  FAIL() << out.str();
+}
+
 class IndexDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(IndexDifferential, RandomMutationAndQuerySequencesMatchOracle) {
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
   const int capacity = 1 + static_cast<int>(seed % 96);
-  auto ops = generate_ops(seed, 60, capacity);
-  auto failure = run_sequence(seed, ops, capacity);
-  if (failure) {
-    auto minimal = shrink(seed, ops, capacity);
-    std::ostringstream out;
-    out << *failure << "\nminimal failing sequence (seed " << seed
-        << ", capacity " << capacity << ", " << minimal.size() << " ops):\n";
-    for (const Op& op : minimal) out << "  " << describe(op) << "\n";
-    FAIL() << out.str();
-  }
+  expect_sequence_passes(
+      seed, capacity, generate_ops(seed, 60, capacity),
+      [&](const std::vector<Op>& ops) {
+        return run_sequence(seed, ops, capacity);
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexDifferential, ::testing::Range(0, 25));
+
+// --- Copy-on-write views -----------------------------------------------------
+
+using Tokens = std::vector<std::pair<int, AvailabilityProfile::CommitToken>>;
+
+/// Applies one op. A rollback uses this profile's token when it issued the
+/// commit, and otherwise releases the group in reverse (the commit was made
+/// on the base before the view was taken).
+void apply_op(AvailabilityProfile& profile, const Op& op, Tokens& tokens) {
+  switch (op.kind) {
+    case Op::kAdd: profile.add(op.r); break;
+    case Op::kRelease: profile.release(op.r); break;
+    case Op::kCommit:
+      tokens.emplace_back(op.id, profile.commit(op.group));
+      break;
+    case Op::kRollback: {
+      auto it = std::find_if(tokens.begin(), tokens.end(),
+                             [&](const auto& t) { return t.first == op.id; });
+      if (it != tokens.end()) {
+        profile.rollback(it->second);
+        tokens.erase(it);
+        break;
+      }
+      for (auto r = op.group.rbegin(); r != op.group.rend(); ++r)
+        profile.release(*r);
+      break;
+    }
+    case Op::kCompact: profile.compact(op.horizon); break;
+  }
+}
+
+void apply_op(LinearProfile& oracle, const Op& op) {
+  switch (op.kind) {
+    case Op::kAdd: oracle.add(op.r); break;
+    case Op::kRelease: oracle.release(op.r); break;
+    case Op::kCommit:
+      for (const Reservation& r : op.group) oracle.add(r);
+      break;
+    case Op::kRollback:
+      for (auto r = op.group.rbegin(); r != op.group.rend(); ++r)
+        oracle.release(*r);
+      break;
+    case Op::kCompact: oracle.compact(op.horizon); break;
+  }
+}
+
+/// What a write would change: the raw breakpoints (a redundant one
+/// included, so a write that keeps the step function still shows), the
+/// canonical steps, a fixed battery of fits and the reservation count.
+struct Observed {
+  std::vector<double> breakpoints;
+  std::vector<std::pair<double, int>> steps;
+  std::vector<std::optional<double>> fits;
+  int reservations = 0;
+  bool operator==(const Observed&) const = default;
+};
+
+std::vector<FitQuery> fit_battery(std::uint64_t seed, int capacity) {
+  util::Rng rng(util::derive_seed(0xB477, {seed}));
+  std::vector<FitQuery> queries;
+  for (int k = 0; k < 12; ++k) {
+    int procs = static_cast<int>(rng.uniform_int(1, capacity));
+    double duration = rng.uniform(0.1, 30.0 * 3600.0);
+    double not_before = rng.uniform(-40.0, 220.0) * 3600.0;
+    double deadline = not_before + rng.uniform(-1.0, 60.0) * 3600.0;
+    queries.push_back(FitQuery::earliest(procs, duration, not_before));
+    queries.push_back(FitQuery::latest(procs, duration, deadline, not_before));
+  }
+  return queries;
+}
+
+Observed observe(const AvailabilityProfile& profile,
+                 const std::vector<FitQuery>& battery) {
+  return {profile.breakpoints(), profile.canonical_steps(),
+          profile.fit_many(battery), profile.reservation_count()};
+}
+
+/// Builds the base from the ops not marked on_view (plus a redundant
+/// breakpoint), then replays the on_view ops against a view of it, a deep
+/// copy and the oracle, checking after every op that the three agree and
+/// that the base is untouched. Alongside run a second live view of the
+/// same base written differently, and at the midpoint a moved view, a copy
+/// of the view and a view of the view. Returns a diagnostic on failure.
+std::optional<std::string> run_view_sequence(std::uint64_t seed,
+                                             const std::vector<Op>& ops,
+                                             int capacity) {
+  AvailabilityProfile base(capacity);
+  LinearProfile oracle_base(capacity);
+  Tokens base_tokens;
+  std::size_t i = 0;
+  for (; i < ops.size() && !ops[i].on_view; ++i) {
+    apply_op(base, ops[i], base_tokens);
+    apply_op(oracle_base, ops[i]);
+  }
+  // Two abutting equal reservations leave a breakpoint at 501 h whose value
+  // repeats its predecessor's.
+  for (const Reservation& r : {Reservation{500 * 3600.0, 501 * 3600.0, 1},
+                               Reservation{501 * 3600.0, 502 * 3600.0, 1}}) {
+    base.add(r);
+    oracle_base.add(r);
+  }
+
+  const std::vector<FitQuery> battery = fit_battery(seed, capacity);
+  const Observed base_before = observe(base, battery);
+  AvailabilityProfile view = base.view();
+  AvailabilityProfile deep = base;
+  LinearProfile oracle = oracle_base;
+  AvailabilityProfile sibling = base.view();
+  AvailabilityProfile sibling_deep = base;
+  Tokens view_tokens, deep_tokens;
+  util::Rng sibling_rng(util::derive_seed(0x51B1, {seed}));
+  const std::size_t midpoint = i + (ops.size() - i) / 2;
+
+  for (; i < ops.size(); ++i) {
+    const Op& op = ops[i];
+    std::ostringstream where;
+    where << "after op " << i << " [" << describe(op) << "]: ";
+    if (i == midpoint) {
+      // Moving keeps the view's tag, so it goes on sharing the base; a
+      // copy of the view and a view of the view, each written once, must
+      // leave it alone and agree with each other.
+      AvailabilityProfile moved(std::move(view));
+      view = std::move(moved);
+      const Observed view_before = observe(view, battery);
+      AvailabilityProfile copy = view;
+      AvailabilityProfile nested = view.view();
+      Tokens copy_tokens = view_tokens, nested_tokens = view_tokens;
+      apply_op(copy, op, copy_tokens);
+      apply_op(nested, op, nested_tokens);
+      if (observe(view, battery) != view_before)
+        return where.str() + "a copy or a view of the view wrote it";
+      if (observe(nested, battery) != observe(copy, battery))
+        return where.str() + "a view of a view diverged from a deep copy";
+    }
+    apply_op(view, op, view_tokens);
+    apply_op(deep, op, deep_tokens);
+    apply_op(oracle, op);
+    const Reservation extra = random_reservation(sibling_rng, capacity);
+    sibling.add(extra);
+    sibling_deep.add(extra);
+
+    util::Rng query_rng(util::derive_seed(0x9E12, {seed, i}));
+    if (auto failure = compare_profiles(view, oracle, query_rng))
+      return where.str() + "view vs oracle: " + *failure;
+    if (observe(view, battery) != observe(deep, battery))
+      return where.str() + "view diverged from a deep copy";
+    if (observe(sibling, battery) != observe(sibling_deep, battery))
+      return where.str() + "second view diverged from its deep copy";
+    if (observe(base, battery) != base_before)
+      return where.str() + "a view wrote its base";
+  }
+  util::Rng query_rng(util::derive_seed(0x9E13, {seed}));
+  if (auto failure = compare_profiles(base, oracle_base, query_rng))
+    return "base vs oracle after the views: " + *failure;
+  return std::nullopt;
+}
+
+class ViewDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(ViewDifferential, ViewsAnswerAsDeepCopiesAndNeverWriteTheBase) {
+  const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
+  const int capacity = 1 + static_cast<int>((seed * 37) % 96);
+  auto ops = generate_ops(util::derive_seed(0x71E3, {seed}), 70, capacity);
+  for (std::size_t i = 40; i < ops.size(); ++i) ops[i].on_view = true;
+  expect_sequence_passes(seed, capacity, ops,
+                         [&](const std::vector<Op>& candidate) {
+                           return run_view_sequence(seed, candidate, capacity);
+                         });
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ViewDifferential, ::testing::Range(0, 25));
+
+TEST(ResvView, WritesCopyOnlyTheNodesTheyTouch) {
+  resv::StepIndex base(64);
+  for (int i = 0; i < 4096; ++i)
+    base.range_add(i * 600.0, i * 600.0 + 3600.0 + (i % 7), -1);
+  ASSERT_GT(base.size(), 7000u);
+  const resv::StepIndex::PoolStats base_stats = base.pool_stats();
+
+  resv::StepIndex view = base.view();
+  EXPECT_EQ(view.size(), base.size());
+  EXPECT_EQ(view.pool_stats().created, 0u);  // taking a view copies nothing
+  // Ten adds spread across the whole calendar, each on its own tree path.
+  for (int i = 0; i < 10; ++i)
+    view.range_add(123.0 + i * 240000.0, 153.0 + i * 240000.0, -2);
+  // Each add copies the O(log R) nodes on its split and merge paths; a
+  // deep copy would have created every one of the base's nodes.
+  EXPECT_LT(view.pool_stats().created, base.size() / 4);
+  EXPECT_EQ(base.pool_stats().created, base_stats.created);
+  for (int i = 0; i < 10; ++i) {
+    const double t = 133.0 + i * 240000.0;
+    EXPECT_EQ(view.value_at(t), base.value_at(t) - 2) << "t=" << t;
+  }
+}
+
+bool same_schedule(const core::AppSchedule& a, const core::AppSchedule& b) {
+  if (a.tasks.size() != b.tasks.size()) return false;
+  for (std::size_t i = 0; i < a.tasks.size(); ++i)
+    if (a.tasks[i].procs != b.tasks[i].procs ||
+        a.tasks[i].start != b.tasks[i].start ||
+        a.tasks[i].finish != b.tasks[i].finish)
+      return false;
+  return true;
+}
+
+TEST(ResvView, ConcurrentPassesOnOneSharedCalendarMatchOneThread) {
+  // Four threads run the engine's two passes — RESSCHED and DL_RCBD_CPAR-λ
+  // RESSCHEDDL — against one shared const calendar at once; each pass
+  // plans on its own view of it.
+  constexpr int kProcs = 64;
+  util::Rng rng(0xC0C0);
+  resv::ReservationList list;
+  for (int i = 0; i < 600; ++i) {
+    double start = rng.uniform(0.0, 3 * 86400.0);
+    list.push_back({start, start + rng.uniform(0.5, 6.0) * 3600.0,
+                    static_cast<int>(rng.uniform_int(1, kProcs / 2))});
+  }
+  const AvailabilityProfile calendar(kProcs, list);
+  std::vector<dag::Dag> dags;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    util::Rng dag_rng(util::derive_seed(0xDA6, {seed}));
+    dag::DagSpec spec;
+    spec.num_tasks = 10;
+    dags.push_back(dag::generate(spec, dag_rng));
+  }
+
+  struct Outcome {
+    core::AppSchedule forward;
+    std::vector<std::optional<core::AppSchedule>> deadline;
+  };
+  auto run_all = [&] {
+    std::vector<Outcome> out;
+    for (std::size_t j = 0; j < dags.size(); ++j) {
+      const double now = 3600.0 * static_cast<double>(j);
+      Outcome o;
+      auto fwd = core::schedule_ressched(dags[j], calendar, now, 40, {});
+      o.forward = fwd.schedule;
+      for (double stretch : {1.05, 2.0}) {
+        auto dl = core::schedule_deadline(dags[j], calendar, now, 40,
+                                          now + stretch * fwd.turnaround, {});
+        o.deadline.push_back(dl.feasible ? std::optional(dl.schedule)
+                                         : std::nullopt);
+      }
+      out.push_back(std::move(o));
+    }
+    return out;
+  };
+
+  const auto before = calendar.breakpoints();
+  const std::vector<Outcome> serial = run_all();
+  std::vector<std::vector<Outcome>> per_thread(4);
+  {
+    std::latch start(static_cast<std::ptrdiff_t>(per_thread.size()));
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < per_thread.size(); ++t)
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();  // all four passes overlap from the start
+        per_thread[t] = run_all();
+      });
+    for (std::thread& thread : threads) thread.join();
+  }
+  for (std::size_t t = 0; t < per_thread.size(); ++t) {
+    ASSERT_EQ(per_thread[t].size(), serial.size());
+    for (std::size_t j = 0; j < serial.size(); ++j) {
+      EXPECT_TRUE(same_schedule(per_thread[t][j].forward, serial[j].forward))
+          << "thread " << t << " job " << j;
+      for (std::size_t k = 0; k < serial[j].deadline.size(); ++k) {
+        const auto& got = per_thread[t][j].deadline[k];
+        const auto& want = serial[j].deadline[k];
+        ASSERT_EQ(got.has_value(), want.has_value())
+            << "thread " << t << " job " << j << " deadline " << k;
+        if (want) {
+          EXPECT_TRUE(same_schedule(*got, *want));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(calendar.breakpoints(), before);
+}
 
 // --- Directed edge cases ---------------------------------------------------
 
