@@ -321,16 +321,18 @@ void BM_AdmissionScaling(benchmark::State& state) {
                                                      fwd)
                                  .turnaround});
   core::DeadlineParams dl;  // DL_RCBD_CPAR-λ, the engine default
+  std::vector<double> fastest;
   std::uint64_t admissions = 0;
   for (auto _ : state) {
     const Job& job = jobs[(admissions / 2) % jobs.size()];
     if (admissions % 2 == 0) {
       benchmark::DoNotOptimize(
           core::schedule_ressched(*job.dag, profile, 0.0, job.q_hist, fwd));
-    } else if (job.deadline >=
-               core::earliest_finish_floor(*job.dag, profile, 0.0)) {
-      benchmark::DoNotOptimize(core::schedule_deadline(
-          *job.dag, profile, 0.0, job.q_hist, job.deadline, dl));
+    } else {
+      core::fastest_task_times(*job.dag, profile.capacity(), fastest);
+      if (job.deadline >= core::evaluate_finish_floor(fastest, profile, 0.0))
+        benchmark::DoNotOptimize(core::schedule_deadline(
+            *job.dag, profile, 0.0, job.q_hist, job.deadline, dl));
     }
     ++admissions;
   }

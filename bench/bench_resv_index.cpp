@@ -104,27 +104,12 @@ void linear_add_release(benchmark::State& state) {
   add_release_loop<resv::LinearProfile>(state);
 }
 
-void indexed_fit_many(benchmark::State& state) {
-  auto list = make_calendar(static_cast<int>(state.range(0)));
-  resv::AvailabilityProfile profile(kProcs, list);
-  std::vector<resv::FitQuery> batch;
-  for (int i = 0; i < 64; ++i) {
-    int procs = 1 + (i * 11) % kProcs;
-    batch.push_back(i % 2 == 0
-                        ? resv::FitQuery::earliest(procs, 7200.0, i * 4000.0)
-                        : resv::FitQuery::latest(procs, 7200.0,
-                                                 1e6 + i * 4000.0, 0.0));
-  }
-  for (auto _ : state) benchmark::DoNotOptimize(profile.fit_many(batch));
-}
-
 BENCHMARK(indexed_earliest_fit)->RangeMultiplier(10)->Range(100, 10000);
 BENCHMARK(linear_earliest_fit)->RangeMultiplier(10)->Range(100, 10000);
 BENCHMARK(indexed_latest_fit)->Arg(10000);
 BENCHMARK(linear_latest_fit)->Arg(10000);
 BENCHMARK(indexed_add_release)->Arg(10000);
 BENCHMARK(linear_add_release)->Arg(10000);
-BENCHMARK(indexed_fit_many)->Arg(10000);
 
 }  // namespace
 

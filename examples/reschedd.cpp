@@ -1,8 +1,9 @@
 // reschedd — long-running scheduling daemon (DESIGN.md §10).
 //
-// Wraps the online scheduler (or the sharded router with --shards N) behind
-// the framed JSONL protocol on a unix or TCP socket, with write-ahead
-// durability under --state-dir. Drive it with rsub / rstat:
+// Wraps the sharded router (--shards N; one shard, the default, is a
+// pass-through to one online engine) behind the framed JSONL protocol on a
+// unix or TCP socket, with write-ahead durability under --state-dir. Drive
+// it with rsub / rstat:
 //
 //   $ reschedd --unix /tmp/resched.sock --state-dir /var/lib/resched &
 //   $ rsub --unix /tmp/resched.sock --job 1 --t 0 --chain 3 --seq 3600

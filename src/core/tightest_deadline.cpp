@@ -7,39 +7,28 @@
 
 namespace resched::core {
 
-void finish_floor_queries(const dag::Dag& dag, int capacity, double now,
-                          std::vector<resv::FitQuery>& queries) {
-  queries.clear();
-  queries.reserve(static_cast<std::size_t>(dag.size()));
-  for (int task = 0; task < dag.size(); ++task) {
-    // exec_time is weakly decreasing in np — dividing and adding positive
-    // terms are monotone under IEEE rounding — so the minimum over np in
-    // [1, capacity] is exactly exec_time at full capacity: the same double
-    // the old O(P) min scan produced, without the scan.
-    double emin = dag::exec_time(dag.cost(task), capacity);
-    queries.push_back(resv::FitQuery::earliest(1, emin, now));
-  }
+void fastest_task_times(const dag::Dag& dag, int capacity,
+                        std::vector<double>& fastest) {
+  fastest.clear();
+  fastest.reserve(static_cast<std::size_t>(dag.size()));
+  // exec_time is weakly decreasing in np — dividing and adding positive
+  // terms are monotone under IEEE rounding — so the minimum over np in
+  // [1, capacity] is exactly exec_time at full capacity; no scan over np
+  // is needed.
+  for (int task = 0; task < dag.size(); ++task)
+    fastest.push_back(dag::exec_time(dag.cost(task), capacity));
 }
 
-double evaluate_finish_floor(std::span<const resv::FitQuery> queries,
+double evaluate_finish_floor(std::span<const double> fastest,
                              const resv::AvailabilityProfile& calendar,
                              double now) {
   double floor = now;
-  for (const resv::FitQuery& q : queries) {
-    auto fit = calendar.earliest_fit(q.procs, q.duration, q.not_before);
+  for (const double duration : fastest) {
+    auto fit = calendar.earliest_fit(1, duration, now);
     RESCHED_ASSERT(fit.has_value(), "1-processor fit must always exist");
-    floor = std::max(floor, *fit + q.duration);
+    floor = std::max(floor, *fit + duration);
   }
   return floor;
-}
-
-double earliest_finish_floor(const dag::Dag& dag,
-                             const resv::AvailabilityProfile& competing,
-                             double now) {
-  OBS_SPAN("core.tightest.finish_floor");
-  std::vector<resv::FitQuery> queries;
-  finish_floor_queries(dag, competing.capacity(), now, queries);
-  return evaluate_finish_floor(queries, competing, now);
 }
 
 TightestDeadlineResult tightest_deadline(
@@ -47,8 +36,11 @@ TightestDeadlineResult tightest_deadline(
     double now, int q_hist, const DeadlineParams& params,
     const TightestDeadlineOptions& opts) {
   auto ctx = make_deadline_context(dag, competing.capacity(), q_hist, params);
+  std::vector<double> fastest;
+  fastest_task_times(dag, competing.capacity(), fastest);
   return tightest_deadline(dag, competing, now, q_hist, params, ctx,
-                           earliest_finish_floor(dag, competing, now), opts);
+                           evaluate_finish_floor(fastest, competing, now),
+                           opts);
 }
 
 TightestDeadlineResult tightest_deadline(

@@ -12,7 +12,6 @@
 
 #include "src/core/resscheddl.hpp"
 #include "src/core/ressched.hpp"
-#include "src/resv/fit_query.hpp"
 #include "src/resv/profile.hpp"
 
 namespace resched::core {
@@ -29,27 +28,21 @@ struct TightestDeadlineResult {
   int probes = 0;               ///< feasibility probes spent
 };
 
+/// Per-task inputs of the finish floor: each task's fastest execution
+/// time. They depend only on the DAG and the platform capacity — never on
+/// a calendar or a time — so callers that evaluate one job against many
+/// calendars (the shard routers' spillover probes) build them once. The
+/// buffer is cleared first and keeps its capacity.
+void fastest_task_times(const dag::Dag& dag, int capacity,
+                        std::vector<double>& fastest);
+
 /// Calendar-aware lower bound on any feasible schedule's finish time. Every
 /// task, whatever its allocation, occupies at least one processor for at
 /// least its fastest execution time, and earliest_fit is monotone in the
 /// duration — so each task finishes at or after the earliest 1-processor
-/// window of that fastest time, and no deadline below the latest such
-/// finish can be met. One earliest-fit query per task.
-double earliest_finish_floor(const dag::Dag& dag,
-                             const resv::AvailabilityProfile& competing,
-                             double now);
-
-/// The per-task queries behind earliest_finish_floor, split out so callers
-/// that evaluate the same job against many calendars (the shard router's
-/// spillover probes) build them once. The buffer is cleared first and
-/// keeps its capacity. Queries depend only on the DAG, the platform
-/// capacity, and `now` — never on a calendar.
-void finish_floor_queries(const dag::Dag& dag, int capacity, double now,
-                          std::vector<resv::FitQuery>& queries);
-
-/// Floor value of prebuilt finish_floor_queries against one calendar;
-/// earliest_finish_floor is finish_floor_queries plus this call.
-double evaluate_finish_floor(std::span<const resv::FitQuery> queries,
+/// window of that fastest time at or after `now`, and no deadline below
+/// the latest such finish can be met. One earliest-fit query per task.
+double evaluate_finish_floor(std::span<const double> fastest,
                              const resv::AvailabilityProfile& calendar,
                              double now);
 
@@ -62,8 +55,9 @@ TightestDeadlineResult tightest_deadline(
 /// The same search on the deadline context and finish floor a caller has
 /// already built for this DAG, calendar, `now` and `q_hist`:
 /// `ctx` = make_deadline_context(dag, competing.capacity(), q_hist, params)
-/// and `finish_floor` = earliest_finish_floor(dag, competing, now). The
-/// online engine's counter-offers reuse its failed admission attempt's.
+/// and `finish_floor` = evaluate_finish_floor of the DAG's
+/// fastest_task_times against `competing` at `now`. The online engine's
+/// counter-offers reuse its failed admission attempt's.
 TightestDeadlineResult tightest_deadline(
     const dag::Dag& dag, const resv::AvailabilityProfile& competing,
     double now, int q_hist, const DeadlineParams& params,

@@ -34,21 +34,6 @@ CpaSchedule schedule(const dag::Dag& dag, int q, double t0,
   return out;
 }
 
-SubdagGuideline subdag_guideline(const dag::Dag& dag,
-                                 const std::vector<bool>& keep, int q,
-                                 const Options& opts) {
-  auto sub = dag::induced_subdag(dag, keep);
-  CpaSchedule sched = schedule(sub.dag, q, 0.0, opts);
-  SubdagGuideline out;
-  out.start.assign(static_cast<std::size_t>(dag.size()), -1.0);
-  out.makespan = sched.makespan;
-  for (int new_id = 0; new_id < sub.dag.size(); ++new_id)
-    out.start[static_cast<std::size_t>(sub.to_original[
-        static_cast<std::size_t>(new_id)])] =
-        sched.placements[static_cast<std::size_t>(new_id)].start;
-  return out;
-}
-
 GuidelineSeries guideline_starts(const dag::Dag& dag,
                                  std::span<const int> order,
                                  std::span<const int> alloc,

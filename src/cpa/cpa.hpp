@@ -29,8 +29,8 @@
 // allocations() runs it on the whole DAG. guideline_starts() — the
 // guideline primitive of both deadline schedulers — runs it at every step
 // of a backward order on the tasks still unscheduled, without building a
-// sub-DAG; subdag_guideline() is the rebuilt-sub-DAG formulation it must
-// match value for value, kept as the tests' oracle.
+// sub-DAG. It must match value for value the rebuilt-sub-DAG formulation,
+// which the tests keep as their oracle (tests/subdag_guideline.hpp).
 #pragma once
 
 #include <span>
@@ -67,20 +67,6 @@ struct CpaSchedule {
 CpaSchedule schedule(const dag::Dag& dag, int q, double t0,
                      const Options& opts = {});
 
-/// CPA schedule of the sub-DAG induced by keep[], reported against original
-/// task ids — the guideline-schedule primitive of the resource-conservative
-/// deadline algorithms (paper §5.2.2).
-struct SubdagGuideline {
-  /// CPA start time of each kept task, relative to schedule start (tasks
-  /// not kept hold -1).
-  std::vector<double> start;
-  /// Makespan of the sub-DAG's CPA schedule.
-  double makespan = 0.0;
-};
-SubdagGuideline subdag_guideline(const dag::Dag& dag,
-                                 const std::vector<bool>& keep, int q,
-                                 const Options& opts = {});
-
 /// The guideline series of a backward scheduling order (paper §5.2.2).
 struct GuidelineSeries {
   /// start[order[k]]: the start of task order[k] in the CPA schedule, on q
@@ -91,11 +77,11 @@ struct GuidelineSeries {
   double makespan = 0.0;
 };
 
-/// Computes the series value for value as subdag_guideline at every k
-/// would, on the parent DAG without building a sub-DAG. `alloc` must be
-/// allocations(dag, q, opts) and `cpa_order` dag::order_by_decreasing of
-/// its bottom levels; `order` must be backward (reverse(order) a
-/// topological order), else resched::Error.
+/// Computes the series value for value as CPA schedules of the rebuilt
+/// sub-DAGs of order[k, n) would, on the parent DAG without building one.
+/// `alloc` must be allocations(dag, q, opts) and `cpa_order`
+/// dag::order_by_decreasing of its bottom levels; `order` must be backward
+/// (reverse(order) a topological order), else resched::Error.
 GuidelineSeries guideline_starts(const dag::Dag& dag,
                                  std::span<const int> order,
                                  std::span<const int> alloc,

@@ -23,7 +23,8 @@
 
 namespace resched::dag {
 
-/// Parameters of one synthetic application specification (paper Table 1).
+/// Parameters of one synthetic application specification (paper Table 1);
+/// the defaults are the paper's (boldface row of Table 1).
 struct DagSpec {
   int num_tasks = 50;        ///< total tasks incl. entry/exit; >= 3
   double alpha_max = 0.20;   ///< alpha_i ~ U(0, alpha_max)
@@ -34,9 +35,6 @@ struct DagSpec {
   double min_seq_time = 60.0;       ///< 1 minute  [seconds]
   double max_seq_time = 36000.0;    ///< 10 hours  [seconds]
 };
-
-/// Paper defaults (boldface row of Table 1).
-inline DagSpec default_dag_spec() { return DagSpec{}; }
 
 /// Generates one random application instance. Deterministic given rng state.
 Dag generate(const DagSpec& spec, util::Rng& rng);

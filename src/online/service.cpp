@@ -346,9 +346,8 @@ void SchedulerService::schedule_job(const JobSubmission& job, double t,
   // below the floor is provably unmeetable, so the full backward pass is
   // skipped and the submission goes straight to rejection or counter-offer
   // — exactly where the failed pass would have sent it.
-  core::finish_floor_queries(job.dag, profile_->capacity(), t, floor_queries_);
-  const double floor =
-      core::evaluate_finish_floor(floor_queries_, *profile_, t);
+  core::fastest_task_times(job.dag, profile_->capacity(), floor_times_);
+  const double floor = core::evaluate_finish_floor(floor_times_, *profile_, t);
   // One deadline context serves the admission attempt and, when that
   // fails, every probe of the counter-offer search; it is built only when
   // one of them runs.

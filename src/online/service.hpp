@@ -322,9 +322,9 @@ class SchedulerService {
   std::uint64_t stale_events_ = 0;
   std::uint64_t events_processed_ = 0;
   bool ft_active_ = false;
-  /// Admission pre-filter scratch: the per-task floor query buffer,
-  /// reused across jobs.
-  std::vector<resv::FitQuery> floor_queries_;
+  /// Admission pre-filter scratch: the per-task fastest times behind the
+  /// finish floor, reused across jobs.
+  std::vector<double> floor_times_;
 };
 
 }  // namespace resched::online

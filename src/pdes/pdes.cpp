@@ -6,7 +6,6 @@
 
 #include "src/core/tightest_deadline.hpp"
 #include "src/obs/obs.hpp"
-#include "src/resv/batch_scheduler.hpp"
 #include "src/util/error.hpp"
 
 namespace resched::pdes {
@@ -27,13 +26,13 @@ void validate(const PdesConfig& config) {
 /// the differential suite catches through the traces).
 ///
 /// Rank shards by the frozen load score; for a deadline job, walk
-/// candidates in rank order and take the first whose metered finish-floor
-/// probe admits the deadline. Every probe goes through the opaque
-/// BatchScheduler facade — the replay never peeks at a calendar it
-/// wouldn't be allowed to see under the paper's §3.2.2 model.
-/// When every candidate is provably infeasible the best-ranked shard takes
-/// the job anyway: rejections and counter-offers must come from an engine,
-/// never from the router's estimate.
+/// candidates in rank order and take the first whose finish floor
+/// (core::evaluate_finish_floor, the engines' own admission pre-filter)
+/// admits the deadline. Each of the floor's earliest-fit queries, one per
+/// task, counts as a blind probe. When every candidate is provably
+/// infeasible the best-ranked shard takes the job anyway: rejections and
+/// counter-offers must come from an engine, never from the router's
+/// estimate.
 ///
 /// `routed[s]` accumulates the serial work (proc-seconds) routed to
 /// shard s since the last barrier and joins the frozen reserved area in
@@ -48,8 +47,8 @@ int pick_shard(const online::JobSubmission& job, double wstart,
                const PdesConfig& config,
                const std::vector<const online::SchedulerService*>& engines,
                const std::vector<const resv::AvailabilityProfile*>& calendars,
-               std::vector<double>& routed,
-               std::vector<resv::FitQuery>& queries, PdesStats& stats) {
+               std::vector<double>& routed, std::vector<double>& fastest,
+               PdesStats& stats) {
   int target = -1;
   if (config.shards == 1) {
     target = 0;
@@ -65,17 +64,11 @@ int pick_shard(const online::JobSubmission& job, double wstart,
     std::sort(scored.begin(), scored.end());  // score, then shard id
 
     if (job.deadline) {
-      core::finish_floor_queries(job.dag, config.service.capacity, job.submit,
-                                 queries);
+      core::fastest_task_times(job.dag, config.service.capacity, fastest);
       for (const auto& [score, s] : scored) {
-        auto probe = resv::BatchScheduler::probe_only(
-            *calendars[static_cast<std::size_t>(s)]);
-        double floor = job.submit;
-        for (const resv::FitQuery& q : queries)
-          floor = std::max(floor,
-                           probe.probe(q.procs, q.duration, q.not_before) +
-                               q.duration);
-        stats.blind_probes += static_cast<std::uint64_t>(probe.probes_used());
+        const double floor = core::evaluate_finish_floor(
+            fastest, *calendars[static_cast<std::size_t>(s)], job.submit);
+        stats.blind_probes += fastest.size();
         if (*job.deadline >= floor) {
           target = s;
           break;
@@ -202,7 +195,7 @@ PdesResult PdesReplayEngine::run(SubmissionSource& source) {
     while (source.peek_time() && *source.peek_time() <= wend) {
       online::JobSubmission job = source.next();
       const int target = pick_shard(job, wstart, config_, engines, calendars,
-                                    routed_work, floor_queries_, stats);
+                                    routed_work, floor_times_, stats);
       service_->engine(target).submit(std::move(job));
       ++ingested;
     }
@@ -293,7 +286,7 @@ PdesResult serial_replay(const PdesConfig& config, SubmissionSource& source) {
 
   PdesResult result;
   PdesStats& stats = result.stats;
-  std::vector<resv::FitQuery> queries;
+  std::vector<double> fastest;
   std::vector<double> routed_work(static_cast<std::size_t>(n), 0.0);
   double cursor = -kInf;
   for (;;) {
@@ -317,7 +310,7 @@ PdesResult serial_replay(const PdesConfig& config, SubmissionSource& source) {
     while (source.peek_time() && *source.peek_time() <= wend) {
       online::JobSubmission job = source.next();
       const int target = pick_shard(job, wstart, config, engine_views,
-                                    calendar_views, routed_work, queries,
+                                    calendar_views, routed_work, fastest,
                                     stats);
       engines[static_cast<std::size_t>(target)]->submit(std::move(job));
       ++ingested;

@@ -33,12 +33,11 @@
 //   * Routing: arrivals rank shards by shard::load_score — the lockstep
 //     router's score read at the barrier, plus the work routed to each
 //     shard earlier in the same window.
-//   * Blind routing hook: deadline jobs probe candidate shards through the
-//     metered resv::BatchScheduler facade (the paper's §3.2.2 opaque
-//     batch-scheduler model): one earliest-fit probe per task lower-bounds
-//     the job's finish on that shard, and shards whose floor already
-//     exceeds the deadline are skipped without touching their engines.
-//     The probe count is the metered resource (PdesStats).
+//   * Floor routing: a deadline job evaluates core::evaluate_finish_floor
+//     — the engines' own admission pre-filter, one earliest-fit query per
+//     task — on candidate shards in rank order, and shards whose floor
+//     already exceeds the deadline are skipped without touching their
+//     engines. Each query counts as one PdesStats::blind_probes.
 //
 // The differential oracle is serial_replay(): an independent
 // single-threaded implementation of the identical windowed protocol —
@@ -61,7 +60,6 @@
 #include "src/online/service.hpp"
 #include "src/online/trace.hpp"
 #include "src/pdes/source.hpp"
-#include "src/resv/fit_query.hpp"
 #include "src/shard/sharded_service.hpp"
 
 namespace resched::pdes {
@@ -131,7 +129,7 @@ struct PdesStats {
   std::uint64_t fast_forwards = 0;  ///< windows opened past an idle gap
   std::uint64_t arrivals = 0;       ///< jobs ingested
   std::uint64_t disruptions = 0;    ///< chaos disruptions scheduled
-  std::uint64_t blind_probes = 0;   ///< batch-scheduler probes spent routing
+  std::uint64_t blind_probes = 0;   ///< floor fit queries spent routing
   std::uint64_t floor_skips = 0;    ///< candidate shards skipped by floor
   std::uint64_t events = 0;         ///< engine events processed, all shards
   std::int64_t barrier_stall_ns = 0;  ///< sum over windows of max−min advance
@@ -170,7 +168,7 @@ class PdesReplayEngine {
   std::unique_ptr<shard::ShardedService> service_;
   std::vector<std::unique_ptr<ft::RepairEngine>> repairs_;
   std::vector<ChaosStream> chaos_streams_;
-  std::vector<resv::FitQuery> floor_queries_;
+  std::vector<double> floor_times_;
 };
 
 /// Single-threaded differential oracle: the identical windowed protocol

@@ -7,16 +7,10 @@ namespace resched::resv {
 double BatchScheduler::probe(int procs, double duration,
                              double earliest) const {
   ++probes_;
-  auto fit = calendar_->earliest_fit(procs, duration, earliest);
+  auto fit = calendar_.earliest_fit(procs, duration, earliest);
   RESCHED_CHECK(fit.has_value(),
                 "probe exceeds platform capacity; bound procs by capacity()");
   return *fit;
-}
-
-void BatchScheduler::reserve(const Reservation& r) {
-  RESCHED_CHECK(owned_.has_value(),
-                "reserve() on a probe-only (borrowed-calendar) facade");
-  owned_->add(r);
 }
 
 }  // namespace resched::resv

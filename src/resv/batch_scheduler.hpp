@@ -10,7 +10,7 @@
 // unavailable (see core::schedule_blind and bench_ext_blind).
 #pragma once
 
-#include <optional>
+#include <utility>
 
 #include "src/resv/profile.hpp"
 
@@ -20,23 +20,9 @@ class BatchScheduler {
  public:
   /// Wraps a calendar; the caller keeps no other handle to it.
   explicit BatchScheduler(AvailabilityProfile calendar)
-      : owned_(std::move(calendar)), calendar_(&*owned_) {}
+      : calendar_(std::move(calendar)) {}
 
-  /// Probe-only view over a calendar owned elsewhere (the PDES replay's
-  /// blind routing hook: each shard's live calendar is interrogated
-  /// through the metered facade without being copied per window). The
-  /// borrowed calendar must outlive the facade; reserve() is a
-  /// precondition violation in this mode — bookings belong to the
-  /// calendar's owner.
-  static BatchScheduler probe_only(const AvailabilityProfile& calendar) {
-    return BatchScheduler(&calendar);
-  }
-
-  // Owning mode holds a pointer into its own optional member; pinned.
-  BatchScheduler(const BatchScheduler&) = delete;
-  BatchScheduler& operator=(const BatchScheduler&) = delete;
-
-  int capacity() const { return calendar_->capacity(); }
+  int capacity() const { return calendar_.capacity(); }
 
   /// "Could I reserve `procs` processors for `duration` seconds starting at
   /// or after `earliest`?" Returns the earliest offered start. Each call
@@ -45,27 +31,15 @@ class BatchScheduler {
 
   /// Books the reservation. Real systems would re-validate the offer; here
   /// submission is instantaneous (paper §3.2.2 assumption 1), so an offer
-  /// from probe() is always still available. Owning mode only.
-  void reserve(const Reservation& r);
+  /// from probe() is always still available.
+  void reserve(const Reservation& r) { calendar_.add(r); }
 
   /// Probes consumed so far (reservations are free; probing is the metered
   /// resource).
   long probes_used() const { return probes_; }
 
-  /// Escape hatch for evaluation code (metrics, validation) — not part of
-  /// the interface a blind scheduler may use.
-  const AvailabilityProfile& calendar_for_evaluation() const {
-    return *calendar_;
-  }
-
  private:
-  explicit BatchScheduler(const AvailabilityProfile* calendar)
-      : calendar_(calendar) {}
-
-  /// Engaged in owning mode; calendar_ then points at it. Probe-only
-  /// borrowed mode leaves it empty and calendar_ targets the caller's.
-  std::optional<AvailabilityProfile> owned_;
-  const AvailabilityProfile* calendar_;
+  AvailabilityProfile calendar_;
   mutable long probes_ = 0;
 };
 

@@ -164,18 +164,6 @@ std::optional<double> LinearProfile::latest_fit(int procs, double duration,
   return std::nullopt;
 }
 
-std::vector<std::optional<double>> LinearProfile::fit_many(
-    std::span<const FitQuery> queries) const {
-  std::vector<std::optional<double>> out;
-  out.reserve(queries.size());
-  for (const FitQuery& q : queries)
-    out.push_back(q.kind == FitKind::kEarliest
-                      ? earliest_fit(q.procs, q.duration, q.not_before)
-                      : latest_fit(q.procs, q.duration, q.deadline,
-                                   q.not_before));
-  return out;
-}
-
 double LinearProfile::average_available(double from, double to) const {
   RESCHED_CHECK(from < to, "average_available requires from < to");
   double integral = 0.0;

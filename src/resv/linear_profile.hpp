@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/resv/fit_query.hpp"
 #include "src/resv/reservation.hpp"
 
 namespace resched::resv {
@@ -43,9 +42,6 @@ class LinearProfile {
                                      double not_before) const;
   std::optional<double> latest_fit(int procs, double duration, double deadline,
                                    double not_before) const;
-  /// Answers each query with the matching earliest_fit / latest_fit scan.
-  std::vector<std::optional<double>> fit_many(
-      std::span<const FitQuery> queries) const;
 
   double average_available(double from, double to) const;
   int min_available(double from, double to) const;

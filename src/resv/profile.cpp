@@ -118,19 +118,6 @@ std::optional<double> AvailabilityProfile::latest_fit(int procs,
   return index_.latest_fit(procs, duration, deadline, not_before);
 }
 
-std::vector<std::optional<double>> AvailabilityProfile::fit_many(
-    std::span<const FitQuery> queries) const {
-  OBS_COUNT("resv.fit.batches", 1);
-  std::vector<std::optional<double>> out;
-  out.reserve(queries.size());
-  for (const FitQuery& q : queries)
-    out.push_back(q.kind == FitKind::kEarliest
-                      ? earliest_fit(q.procs, q.duration, q.not_before)
-                      : latest_fit(q.procs, q.duration, q.deadline,
-                                   q.not_before));
-  return out;
-}
-
 double AvailabilityProfile::average_available(double from, double to) const {
   RESCHED_CHECK(from < to, "average_available requires from < to");
   double integral = 0.0;

@@ -33,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/resv/fit_query.hpp"
 #include "src/resv/reservation.hpp"
 #include "src/resv/step_index.hpp"
 
@@ -69,10 +68,11 @@ class AvailabilityProfile {
   /// Releases a previously added reservation: the exact inverse of add().
   /// Availability over [r.start, r.end) is restored and breakpoints that
   /// become redundant (same raw value as their predecessor) are coalesced,
-  /// so the step function is indistinguishable from one rebuilt from
-  /// scratch without r. Releasing a reservation that was never added
-  /// corrupts the profile — callers pair releases with adds (see commit /
-  /// rollback).
+  /// so canonical_steps() equal those of a profile rebuilt from scratch
+  /// without r. breakpoints() may differ: a rebuild keeps the redundant
+  /// breakpoints that release() coalesces. Releasing a reservation that was
+  /// never added corrupts the profile — callers pair releases with adds
+  /// (see commit / rollback).
   void release(const Reservation& r);
 
   /// Opaque record of a group of reservations committed together, enabling
@@ -118,14 +118,6 @@ class AvailabilityProfile {
   /// deadline with `procs` free throughout; empty when no such window exists.
   std::optional<double> latest_fit(int procs, double duration, double deadline,
                                    double not_before) const;
-
-  /// Batch form: answers queries[i] with the matching earliest_fit /
-  /// latest_fit against this calendar — the shape in which the indexed
-  /// calendar is differential-tested against LinearProfile::fit_many.
-  /// Scheduling sweeps query one count at a time instead, so they can stop
-  /// at their dominance break (DESIGN.md §11).
-  std::vector<std::optional<double>> fit_many(
-      std::span<const FitQuery> queries) const;
 
   /// Time-average of available processors over [from, to), from < to.
   double average_available(double from, double to) const;

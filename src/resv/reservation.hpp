@@ -15,9 +15,6 @@ struct Reservation {
   int procs = 0;       ///< number of processors held
 
   double duration() const { return end - start; }
-  bool overlaps(const Reservation& other) const {
-    return start < other.end && other.start < end;
-  }
 };
 
 using ReservationList = std::vector<Reservation>;

@@ -72,8 +72,7 @@ struct ShardedService::Shard {
 
 ShardedService::ShardedService(ShardedConfig config)
     : config_(std::move(config)),
-      pool_(std::clamp(config_.threads, 1, std::max(config_.shards, 1))),
-      now_(-kInf) {
+      pool_(std::clamp(config_.threads, 1, std::max(config_.shards, 1))) {
   RESCHED_CHECK(config_.shards >= 1, "sharded service needs >= 1 shard");
   RESCHED_CHECK(config_.threads >= 1, "sharded service needs >= 1 thread");
   shards_.reserve(static_cast<std::size_t>(config_.shards));
@@ -82,6 +81,13 @@ ShardedService::ShardedService(ShardedConfig config)
 }
 
 ShardedService::~ShardedService() = default;
+
+double ShardedService::now() const {
+  double t = -kInf;
+  for (const std::unique_ptr<Shard>& sh : shards_)
+    t = std::max(t, sh->engine.now());
+  return t;
+}
 
 online::SchedulerService& ShardedService::engine(int s) {
   RESCHED_CHECK(s >= 0 && s < config_.shards, "shard id out of range");
@@ -99,7 +105,7 @@ const resv::AvailabilityProfile& ShardedService::calendar(int s) const {
 }
 
 void ShardedService::submit(online::JobSubmission job) {
-  RESCHED_CHECK(job.submit >= now_,
+  RESCHED_CHECK(job.submit >= now(),
                 "submission in the router's past (submit < now)");
   RESCHED_CHECK(job.dag.size() >= 1, "submitted DAG must have tasks");
   if (job.deadline)
@@ -121,7 +127,7 @@ void ShardedService::submit(online::JobSubmission job) {
 }
 
 bool ShardedService::cancel_job(double t, int job_id) {
-  RESCHED_CHECK(t >= now_, "cancellation in the router's past");
+  RESCHED_CHECK(t >= now(), "cancellation in the router's past");
   // Route everything up to t first so the job's owning shard is decided
   // and its engine is at the cancellation instant.
   run_until(t);
@@ -147,7 +153,6 @@ bool ShardedService::cancel_job(double t, int job_id) {
 void ShardedService::run_until(double t) {
   if (config_.shards == 1) {
     shards_[0]->engine.run_until(t);
-    now_ = shards_[0]->engine.now();
     return;
   }
   while (!pending_.empty() && pending_.begin()->first.first <= t) {
@@ -159,13 +164,11 @@ void ShardedService::run_until(double t) {
     route_job(tp, std::move(job));
   }
   advance_all(t);
-  now_ = std::max(now_, t);
 }
 
 void ShardedService::run_all() {
   if (config_.shards == 1) {
     shards_[0]->engine.run_all();
-    now_ = shards_[0]->engine.now();
     return;
   }
   while (!pending_.empty()) {
@@ -179,8 +182,6 @@ void ShardedService::run_all() {
   pool_.run(config_.shards, [this](int s) {
     shards_[static_cast<std::size_t>(s)]->engine.run_all();
   });
-  for (const std::unique_ptr<Shard>& sh : shards_)
-    now_ = std::max(now_, sh->engine.now());
 }
 
 void ShardedService::advance_window(double t) {
@@ -220,7 +221,6 @@ void ShardedService::advance_all(double t) {
     sh.engine.run_until(t);
 #endif
   });
-  now_ = std::max(now_, t);
 #ifndef RESCHED_OBS_DISABLED
   if (obs::metrics_enabled()) {
     for (int s = 0; s < config_.shards; ++s) {
@@ -254,12 +254,11 @@ void ShardedService::route_job(double t, online::JobSubmission job) {
   const std::vector<int> candidates = ranked_shards(t);
   out.first_choice = candidates.front();
 
-  // Floor queries depend on the job, the (uniform) shard capacity, and t —
-  // not on any calendar — so the spillover walk builds them once and
+  // The floor's inputs depend on the job and the (uniform) shard capacity
+  // — not on any calendar — so the spillover walk builds them once and
   // evaluates them against each candidate's calendar.
   if (job.deadline)
-    core::finish_floor_queries(job.dag, config_.service.capacity, t,
-                               floor_queries_);
+    core::fastest_task_times(job.dag, config_.service.capacity, floor_times_);
 
   for (std::size_t k = 0; k < candidates.size(); ++k) {
     int s = candidates[k];
@@ -272,13 +271,13 @@ void ShardedService::route_job(double t, online::JobSubmission job) {
     // candidate is always tried for real so a counter-offer / rejection
     // comes from an engine, never from the router's estimate.
     if (!last && job.deadline &&
-        core::evaluate_finish_floor(floor_queries_, sh.calendar, t) >
+        core::evaluate_finish_floor(floor_times_, sh.calendar, t) >
             *job.deadline)
       continue;
     // Tier 2 — real admission: submit and process synchronously. A
-    // rejection rolls back through the engine's audited commit token, so
-    // the shard's calendar is untouched and the next candidate sees a
-    // consistent world.
+    // rejection leaves the shard's calendar untouched — it commits nothing,
+    // or rolls back an over-limit counter-offer through the commit token —
+    // so the next candidate sees a consistent world.
     std::size_t before = sh.engine.outcomes().size();
     sh.engine.submit(
         online::JobSubmission{job.job_id, job.submit, job.dag, job.deadline});

@@ -12,11 +12,11 @@
 //     (resv::AvailabilityProfile::reserved_area_after); lowest score wins,
 //     ties by shard id;
 //   * cross-shard spillover — a deadline job is first probed read-only
-//     against the chosen shard's calendar (core::earliest_finish_floor);
+//     against the chosen shard's calendar (core::evaluate_finish_floor);
 //     if the floor proves the deadline unreachable there, or the shard's
-//     engine rejects the job outright (its internally audited rollback
-//     leaves the calendar untouched), the router retries the next-ranked
-//     shard, down to the last one, whose engine always decides.
+//     engine rejects the job (a rejection leaves the calendar untouched),
+//     the router retries the next-ranked shard, down to the last one,
+//     whose engine always decides.
 //
 // The router decides per request, which is what reschedd's --shards N mode
 // needs; archive replays route whole windows at a time instead (src/pdes/),
@@ -34,7 +34,9 @@
 // A one-shard service is a transparent pass-through: submissions go
 // straight to the single engine, so traces and metrics are byte-identical
 // to a standalone SchedulerService over the same stream (the differential
-// test in tests/shard_test.cpp pins this).
+// test in tests/shard_test.cpp pins this). reschedd runs every daemon on
+// a ShardedService and relies on it: now() is the engines' clock, so a
+// checkpoint restored into engine(0) governs the router's checks too.
 #pragma once
 
 #include <cstdint>
@@ -94,7 +96,10 @@ class ShardedService {
   ~ShardedService();
 
   int shards() const { return config_.shards; }
-  double now() const { return now_; }
+  /// The engines' clock: the latest now() among them. Lockstep keeps them
+  /// equal apart from run_all(); a checkpoint restored into an engine sets
+  /// it.
+  double now() const;
 
   /// Enqueues a DAG submission; routed when the stream reaches job.submit.
   void submit(online::JobSubmission job);
@@ -187,11 +192,11 @@ class ShardedService {
   online::SchedulerService::WalHook wal_hook_;
   std::vector<RoutingOutcome> routing_;
   Aggregates aggregates_;
-  double now_;
-  /// Tier-1 floor queries for the job being routed — built once per job
-  /// (all shards share one capacity) and evaluated against each candidate
-  /// shard's calendar; buffer reused across jobs.
-  std::vector<resv::FitQuery> floor_queries_;
+  /// Per-task fastest times behind the tier-1 floor of the job being
+  /// routed — built once per job (all shards share one capacity) and
+  /// evaluated against each candidate shard's calendar; buffer reused
+  /// across jobs.
+  std::vector<double> floor_times_;
 };
 
 }  // namespace resched::shard

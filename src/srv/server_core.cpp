@@ -39,47 +39,44 @@ void fsync_path(const std::string& path) {
   RESCHED_CHECK(rc == 0, "srv: fsync failed: " + path);
 }
 
+shard::ShardedConfig engine_config(const ServerCoreConfig& config) {
+  RESCHED_CHECK(config.shards >= 1, "srv: shards must be >= 1");
+  shard::ShardedConfig sc;
+  sc.shards = config.shards;
+  sc.threads = 1;
+  sc.service = config.service;
+  // The daemon owns counter-offer negotiation (client-driven, via the
+  // "offered" state + counter-offer-accept); the engines themselves must
+  // reject infeasible deadlines outright so nothing is tentatively
+  // committed.
+  sc.service.admission = online::AdmissionPolicy::kRejectInfeasible;
+  return sc;
+}
+
 }  // namespace
 
-ServerCore::ServerCore(ServerCoreConfig config) : config_(std::move(config)) {
-  RESCHED_CHECK(config_.shards >= 1, "srv: shards must be >= 1");
+ServerCore::ServerCore(ServerCoreConfig config)
+    : config_(std::move(config)), engine_(engine_config(config_)) {
   RESCHED_CHECK(config_.snapshot_every == 0 || config_.shards == 1,
-                "srv: snapshots require single-engine mode");
-  // The daemon owns counter-offer negotiation (client-driven, via the
-  // "offered" state + counter-offer-accept); the engine itself must reject
-  // infeasible deadlines outright so nothing is tentatively committed.
-  config_.service.admission = online::AdmissionPolicy::kRejectInfeasible;
-
-  const auto hook = [this](const online::SchedulerService::WalOp&) {
-    wal_hook_fired();
-  };
+                "srv: snapshots require a single shard");
   if (config_.shards == 1) {
-    single_ = std::make_unique<online::SchedulerService>(config_.service);
     trace_writers_.emplace_back(trace_text_);
-    single_->set_trace(&trace_writers_[0]);
-    single_->set_wal_hook(hook);
   } else {
-    shard::ShardedConfig sc;
-    sc.shards = config_.shards;
-    sc.threads = 1;
-    sc.service = config_.service;
-    sharded_ = std::make_unique<shard::ShardedService>(sc);
     const auto n = static_cast<std::size_t>(config_.shards);
     shard_traces_.resize(n);
     trace_writers_.reserve(n);
-    for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t s = 0; s < n; ++s)
       trace_writers_.emplace_back(shard_traces_[s], static_cast<int>(s));
-      sharded_->engine(static_cast<int>(s)).set_trace(&trace_writers_[s]);
-    }
-    sharded_->set_wal_hook(hook);
   }
+  for (int s = 0; s < config_.shards; ++s)
+    engine_.engine(s).set_trace(&trace_writers_[static_cast<std::size_t>(s)]);
+  engine_.set_wal_hook(
+      [this](const online::SchedulerService::WalOp&) { wal_hook_fired(); });
 }
 
 ServerCore::~ServerCore() = default;
 
-double ServerCore::now() const {
-  return single_ ? single_->now() : sharded_->now();
-}
+double ServerCore::now() const { return engine_.now(); }
 
 double ServerCore::clamp_time(double t) const {
   const double n = now();
@@ -125,7 +122,7 @@ void ServerCore::recover() {
 
   if (file_exists(snapshot_path())) {
     RESCHED_CHECK(config_.shards == 1,
-                  "srv: snapshot found but the server is sharded");
+                  "srv: snapshot found but the server has more than one shard");
     std::ifstream in(snapshot_path(), std::ios::binary);
     load_snapshot(in);
   }
@@ -185,7 +182,7 @@ void ServerCore::write_snapshot() {
     // The full JSONL trace so far: the recovered daemon keeps appending to
     // it, and finalize() writes the seamless whole.
     put_string(out, trace_text_.str());
-    ft::save_checkpoint(out, *single_);
+    ft::save_checkpoint(out, engine_.engine(0));
     RESCHED_CHECK(out.good(), "srv: snapshot write failed");
   }
   fsync_path(tmp);
@@ -224,7 +221,11 @@ void ServerCore::load_snapshot(std::istream& in) {
     const int client_id = get_i32(in);
     JobRecord record;
     record.internal_id = get_i32(in);
-    record.state = static_cast<JobRecord::State>(get_u8(in));
+    const std::uint8_t state = get_u8(in);
+    RESCHED_CHECK(
+        state <= static_cast<std::uint8_t>(JobRecord::State::kCancelled),
+        "srv: snapshot holds an unknown job state");
+    record.state = static_cast<JobRecord::State>(state);
     record.offer = get_f64(in);
     record.start = get_f64(in);
     record.finish = get_f64(in);
@@ -232,48 +233,26 @@ void ServerCore::load_snapshot(std::istream& in) {
     jobs_.emplace(client_id, std::move(record));
   }
   trace_text_ << get_string(in);
-  ft::load_checkpoint(in, *single_);
+  ft::load_checkpoint(in, engine_.engine(0));
 }
 
-// --- engine dispatch -------------------------------------------------------
-
-void ServerCore::engine_submit(online::JobSubmission job) {
-  if (single_)
-    single_->submit(std::move(job));
-  else
-    sharded_->submit(std::move(job));
-}
-
-bool ServerCore::engine_cancel(double t, int job_id) {
-  return single_ ? single_->cancel_job(t, job_id)
-                 : sharded_->cancel_job(t, job_id);
-}
-
-void ServerCore::engine_run_until(double t) {
-  if (single_)
-    single_->run_until(t);
-  else
-    sharded_->run_until(t);
-}
+// --- engine queries --------------------------------------------------------
 
 bool ServerCore::engine_live(int internal_id) const {
-  if (single_) return single_->live_jobs().count(internal_id) > 0;
   for (int s = 0; s < config_.shards; ++s)
-    if (sharded_->engine(s).live_jobs().count(internal_id) > 0) return true;
+    if (engine_.engine(s).live_jobs().count(internal_id) > 0) return true;
   return false;
 }
 
 const online::JobOutcome* ServerCore::find_outcome(int internal_id) const {
-  const online::SchedulerService* engine = single_.get();
-  if (engine == nullptr) {
-    // A spilled job also holds a rejection on every shard that refused it;
-    // only the router knows which shard decided last.
-    const std::vector<shard::RoutingOutcome>& routed = sharded_->routing();
-    RESCHED_ASSERT(!routed.empty() && routed.back().job_id == internal_id,
-                   "srv: the router has no decision for the job");
-    engine = &sharded_->engine(routed.back().shard);
-  }
-  const std::vector<online::JobOutcome>& outs = engine->outcomes();
+  // A spilled job also holds a rejection on every shard that refused it;
+  // only the router knows which shard decided last. The one-shard
+  // pass-through routes nothing: its engine decided.
+  const std::vector<shard::RoutingOutcome>& routed = engine_.routing();
+  RESCHED_ASSERT(routed.empty() || routed.back().job_id == internal_id,
+                 "srv: the router's last decision is for another job");
+  const std::vector<online::JobOutcome>& outs =
+      engine_.engine(routed.empty() ? 0 : routed.back().shard).outcomes();
   for (auto it = outs.rbegin(); it != outs.rend(); ++it)
     if (it->job_id == internal_id) return &*it;
   return nullptr;
@@ -336,10 +315,10 @@ proto::Response ServerCore::admit(const proto::Request& effective,
   // Engine validation happens inside submit(); on a throw nothing was
   // logged and the internal id is not consumed, so the id sequence stays a
   // pure function of the WAL — replay allocates identically.
-  engine_submit(online::JobSubmission{internal_id, effective.time,
-                                      *effective.dag, effective.deadline});
+  engine_.submit(online::JobSubmission{internal_id, effective.time,
+                                       *effective.dag, effective.deadline});
   ++next_internal_;
-  engine_run_until(effective.time);
+  engine_.run_until(effective.time);
   ++tallies_.submitted;
 
   record.internal_id = internal_id;
@@ -372,15 +351,16 @@ proto::Response ServerCore::admit(const proto::Request& effective,
   }
 
   // Rejected. Client-driven negotiation: quote the tightest feasible
-  // deadline (single-engine mode; the §5.3 search is per-calendar, so a
-  // sharded daemon just rejects) and hold the offer open.
+  // deadline (one shard only; the §5.3 search is per-calendar, so a
+  // daemon with more shards just rejects) and hold the offer open.
   double offer = kNaN;
-  if (single_ && effective.deadline.has_value()) {
+  if (config_.shards == 1 && effective.deadline.has_value()) {
     const double t = now();
+    const resv::AvailabilityProfile& calendar = engine_.calendar(0);
     const int q_hist = resv::historical_average_available(
-        single_->profile(), t, config_.service.history_window);
+        calendar, t, config_.service.history_window);
     const core::TightestDeadlineResult tight = core::tightest_deadline(
-        *effective.dag, single_->profile(), t, q_hist,
+        *effective.dag, calendar, t, q_hist,
         config_.service.deadline, config_.service.tightest);
     if (tight.at_deadline.feasible && tight.deadline > effective.time)
       offer = tight.deadline;
@@ -456,7 +436,7 @@ proto::Response ServerCore::apply_cancel(const proto::Request& request) {
   // looking for the job), and that advancement must replay.
   stage(effective);
   wal_hook_fired();
-  const bool was_live = engine_cancel(effective.time, record.internal_id);
+  const bool was_live = engine_.cancel_job(effective.time, record.internal_id);
   if (!was_live) {
     response.ok = false;
     response.error = "job already finished";
@@ -525,7 +505,7 @@ proto::Response ServerCore::apply_shutdown(const proto::Request& request) {
 proto::ServerStats ServerCore::stats() const {
   proto::ServerStats s;
   s.now = now();
-  s.events = single_ ? single_->events_processed() : sharded_->events_processed();
+  s.events = engine_.events_processed();
   s.submitted = tallies_.submitted;
   s.accepted = tallies_.accepted;
   s.offered = tallies_.offered;
@@ -545,7 +525,7 @@ void ServerCore::finalize() {
     std::ofstream out(config_.state_dir + "/trace.jsonl",
                       std::ios::binary | std::ios::trunc);
     RESCHED_CHECK(out.good(), "srv: cannot write trace.jsonl");
-    if (single_) {
+    if (config_.shards == 1) {
       out << trace_text_.str();
     } else {
       for (const online::TraceRecord& record :
@@ -559,17 +539,9 @@ void ServerCore::finalize() {
     std::ofstream out(config_.state_dir + "/calendar.tsv",
                       std::ios::binary | std::ios::trunc);
     RESCHED_CHECK(out.good(), "srv: cannot write calendar.tsv");
-    const auto dump = [&out](int shard_id,
-                             const resv::AvailabilityProfile& profile) {
-      for (const auto& [t, procs] : profile.canonical_steps())
-        out << shard_id << '\t' << online::format_double(t) << '\t' << procs
-            << '\n';
-    };
-    if (single_) {
-      dump(0, single_->profile());
-    } else {
-      for (int s = 0; s < config_.shards; ++s) dump(s, sharded_->calendar(s));
-    }
+    for (int s = 0; s < config_.shards; ++s)
+      for (const auto& [t, procs] : engine_.calendar(s).canonical_steps())
+        out << s << '\t' << online::format_double(t) << '\t' << procs << '\n';
     RESCHED_CHECK(out.good(), "srv: calendar.tsv write failed");
   }
 }

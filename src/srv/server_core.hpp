@@ -1,13 +1,13 @@
 // reschedd's transport-free brain (DESIGN.md §10).
 //
-// ServerCore owns the scheduling engine — a single online::SchedulerService
-// or, with shards > 1, a shard::ShardedService router — plus the client-id
-// registry, the durability machinery, and the shutdown artifacts. The
-// socket layer (src/srv/server.*) is a thin shell: it parses frames,
-// serializes calls into apply() under one mutex, and ships the responses
-// back; every scheduling decision and every byte of durable state lives
-// here, which is what lets the WAL kill-and-resume test drive a bit-exact
-// golden replay with no sockets at all.
+// ServerCore owns the scheduling engine — one shard::ShardedService, whose
+// one-shard form is a pass-through to a single online::SchedulerService —
+// plus the client-id registry, the durability machinery, and the shutdown
+// artifacts. The socket layer (src/srv/server.*) is a thin shell: it
+// parses frames, serializes calls into apply() under one mutex, and ships
+// the responses back; every scheduling decision and every byte of durable
+// state lives here, which is what lets the WAL kill-and-resume test drive
+// a bit-exact golden replay with no sockets at all.
 //
 // Durability protocol (write-ahead, group commit):
 //
@@ -26,7 +26,7 @@
 // Replaying the log through a fresh ServerCore with the same config
 // re-applies the identical effective requests in the identical order, so
 // the recovered calendar, registry, and JSONL trace are byte-identical to
-// the pre-crash run. Snapshots (single-engine mode) bound replay time: the
+// the pre-crash run. Snapshots (one shard only) bound replay time: the
 // engine's RSFT checkpoint (src/ft/checkpoint.*) is wrapped in an envelope
 // carrying the registry, tallies, accumulated trace text, and the next
 // record id; records the snapshot already covers are skipped by rid on
@@ -38,13 +38,13 @@
 // negotiation itself, client-driven: a rejected deadline job gets the §5.3
 // tightest feasible deadline quoted in the response ("offered"), the offer
 // and the DAG stay in the registry, and "counter-offer-accept" re-submits
-// under the quoted deadline (sharded mode skips the quote — the tightest-
-// deadline search is per-calendar — and simply rejects).
+// under the quoted deadline (with more than one shard the daemon skips the
+// quote — the tightest-deadline search is per-calendar — and simply
+// rejects).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -59,16 +59,16 @@
 namespace resched::srv {
 
 struct ServerCoreConfig {
-  /// 1 = single SchedulerService; > 1 = ShardedService with this many
-  /// shards (service.capacity procs EACH).
+  /// Shards of the ShardedService (service.capacity procs EACH); 1 is the
+  /// pass-through to a single engine.
   int shards = 1;
   online::ServiceConfig service;
   /// Durable-state directory (WAL, snapshot, shutdown artifacts). Empty =
   /// fully ephemeral daemon: no WAL, no recovery.
   std::string state_dir;
   WalSync wal_sync = WalSync::kBatch;
-  /// Snapshot + truncate the WAL every N records (0 = never). Single-engine
-  /// mode only — a sharded daemon always replays from genesis.
+  /// Snapshot + truncate the WAL every N records (0 = never). One shard
+  /// only — a daemon with more shards always replays from genesis.
   std::uint64_t snapshot_every = 0;
 };
 
@@ -140,13 +140,10 @@ class ServerCore {
   /// rejection, and updates `record`.
   proto::Response admit(const proto::Request& effective, JobRecord& record);
 
-  /// Engine dispatch (single vs sharded).
-  void engine_submit(online::JobSubmission job);
-  bool engine_cancel(double t, int job_id);
-  void engine_run_until(double t);
   bool engine_live(int internal_id) const;
-  /// The admission outcome of the job just routed: the single engine's,
-  /// or that of the shard holding the router's final decision.
+  /// The admission outcome of the job just submitted: that of the shard
+  /// holding the router's final decision, or engine(0)'s when the
+  /// one-shard pass-through routed nothing.
   const online::JobOutcome* find_outcome(int internal_id) const;
 
   double clamp_time(double t) const;
@@ -159,12 +156,11 @@ class ServerCore {
   std::string snapshot_path() const;
 
   ServerCoreConfig config_;
-  std::unique_ptr<online::SchedulerService> single_;
-  std::unique_ptr<shard::ShardedService> sharded_;
+  shard::ShardedService engine_;
 
-  /// Trace of every engine decision/event, accumulated in memory. Single
-  /// mode keeps the JSONL text (snapshots embed it); sharded mode keeps
-  /// each shard's records and formats their merge once, in finalize().
+  /// Trace of every engine decision/event, accumulated in memory. One
+  /// shard keeps the JSONL text (snapshots embed it); more shards keep
+  /// each shard's records and format their merge once, in finalize().
   /// Both containers are sized before a writer binds to them.
   std::ostringstream trace_text_;
   std::vector<std::vector<online::TraceRecord>> shard_traces_;

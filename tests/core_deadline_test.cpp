@@ -13,6 +13,7 @@
 #include "src/core/tightest_deadline.hpp"
 #include "src/dag/daggen.hpp"
 #include "src/util/rng.hpp"
+#include "tests/subdag_guideline.hpp"
 #include "tests/tie_dags.hpp"
 
 namespace {

@@ -14,6 +14,7 @@
 #include "src/dag/daggen.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
+#include "tests/subdag_guideline.hpp"
 #include "tests/tie_dags.hpp"
 
 namespace {

@@ -389,8 +389,10 @@ Admission admit_rebuilding_everything(const ServiceConfig& config,
   if (config.compact_calendar) calendar.compact(t - config.history_window);
   const int q_hist =
       resv::historical_average_available(calendar, t, config.history_window);
+  std::vector<double> fastest;
+  core::fastest_task_times(job.dag, calendar.capacity(), fastest);
   core::DeadlineResult dl;
-  if (*job.deadline >= core::earliest_finish_floor(job.dag, calendar, t))
+  if (*job.deadline >= core::evaluate_finish_floor(fastest, calendar, t))
     dl = core::schedule_deadline(job.dag, calendar, t, q_hist, *job.deadline,
                                  config.deadline);
   if (dl.feasible) return {Decision::kAccepted, 0.0, dl.schedule};

@@ -34,6 +34,7 @@
 #include "src/util/rng.hpp"
 #include "src/workload/swf.hpp"
 #include "src/workload/synth.hpp"
+#include "tests/fnv1a.hpp"
 
 namespace {
 
@@ -215,12 +216,9 @@ TEST(PdesDifferential, OneShardWideWindowMatchesPlainEngine) {
 /// FNV-1a (64-bit) over the merged trace's JSONL bytes, one '\n' after
 /// each record: a compact fingerprint of a whole replay.
 std::uint64_t trace_hash(const std::vector<online::TraceRecord>& trace) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t h = fnv::kOffsetBasis;
   for (const online::TraceRecord& r : trace)
-    for (const char c : online::to_json_line(r) + '\n') {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001b3ull;
-    }
+    h = fnv::fnv1a(online::to_json_line(r) + '\n', h);
   return h;
 }
 

@@ -32,13 +32,13 @@
 #include "src/resv/profile.hpp"
 #include "src/resv/step_index.hpp"
 #include "src/util/rng.hpp"
+#include "tests/fit_probe.hpp"
 
 namespace {
 
 using namespace resched;
 using resv::AvailabilityProfile;
-using resv::FitKind;
-using resv::FitQuery;
+using fit_probe::FitProbe;
 using resv::LinearProfile;
 using resv::Reservation;
 
@@ -163,24 +163,24 @@ std::optional<std::string> compare_profiles(const AvailabilityProfile& indexed,
     return "breakpoints diverged";
 
   const int cap = indexed.capacity();
-  std::vector<FitQuery> queries;
+  std::vector<FitProbe> queries;
   const int procs_choices[] = {1, cap / 4 + 1, cap / 2 + 1, std::max(1, cap - 1),
                                cap};
   for (int procs : procs_choices) {
     double duration = rng.uniform(0.1, 30.0 * 3600.0);
     double not_before = rng.uniform(-40.0, 220.0) * 3600.0;
     double deadline = not_before + rng.uniform(-1.0, 60.0) * 3600.0;
-    queries.push_back(FitQuery::earliest(procs, duration, not_before));
-    queries.push_back(FitQuery::latest(procs, duration, deadline, not_before));
+    queries.push_back(FitProbe::earliest(procs, duration, not_before));
+    queries.push_back(FitProbe::latest(procs, duration, deadline, not_before));
   }
-  auto got = indexed.fit_many(queries);
-  auto want = oracle.fit_many(queries);
+  auto got = fit_probe::answer_all(indexed, queries);
+  auto want = fit_probe::answer_all(oracle, queries);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     if (got[i] != want[i]) {
-      const FitQuery& q = queries[i];
+      const FitProbe& q = queries[i];
       std::ostringstream out;
       out.precision(17);
-      out << (q.kind == FitKind::kEarliest ? "earliest_fit" : "latest_fit")
+      out << (q.is_latest ? "latest_fit" : "earliest_fit")
           << "(procs=" << q.procs << ", duration=" << q.duration
           << ", not_before=" << q.not_before << ", deadline=" << q.deadline
           << "): indexed="
@@ -381,24 +381,25 @@ struct Observed {
   bool operator==(const Observed&) const = default;
 };
 
-std::vector<FitQuery> fit_battery(std::uint64_t seed, int capacity) {
+std::vector<FitProbe> fit_battery(std::uint64_t seed, int capacity) {
   util::Rng rng(util::derive_seed(0xB477, {seed}));
-  std::vector<FitQuery> queries;
+  std::vector<FitProbe> queries;
   for (int k = 0; k < 12; ++k) {
     int procs = static_cast<int>(rng.uniform_int(1, capacity));
     double duration = rng.uniform(0.1, 30.0 * 3600.0);
     double not_before = rng.uniform(-40.0, 220.0) * 3600.0;
     double deadline = not_before + rng.uniform(-1.0, 60.0) * 3600.0;
-    queries.push_back(FitQuery::earliest(procs, duration, not_before));
-    queries.push_back(FitQuery::latest(procs, duration, deadline, not_before));
+    queries.push_back(FitProbe::earliest(procs, duration, not_before));
+    queries.push_back(FitProbe::latest(procs, duration, deadline, not_before));
   }
   return queries;
 }
 
 Observed observe(const AvailabilityProfile& profile,
-                 const std::vector<FitQuery>& battery) {
+                 const std::vector<FitProbe>& battery) {
   return {profile.breakpoints(), profile.canonical_steps(),
-          profile.fit_many(battery), profile.reservation_count()};
+          fit_probe::answer_all(profile, battery),
+          profile.reservation_count()};
 }
 
 /// Builds the base from the ops not marked on_view (plus a redundant
@@ -426,7 +427,7 @@ std::optional<std::string> run_view_sequence(std::uint64_t seed,
     oracle_base.add(r);
   }
 
-  const std::vector<FitQuery> battery = fit_battery(seed, capacity);
+  const std::vector<FitProbe> battery = fit_battery(seed, capacity);
   const Observed base_before = observe(base, battery);
   AvailabilityProfile view = base.view();
   AvailabilityProfile deep = base;
@@ -659,24 +660,6 @@ TEST(ResvIndex, CompactMatchesOracleThroughFurtherMutations) {
   EXPECT_EQ(oracle.canonical_steps(), indexed.canonical_steps());
   EXPECT_EQ(oracle.earliest_fit(12, 200.0, 0.0),
             indexed.earliest_fit(12, 200.0, 0.0));
-}
-
-TEST(ResvIndex, FitManyMatchesScalarQueries) {
-  AvailabilityProfile profile(10);
-  profile.add({0.0, 3600.0, 6});
-  profile.add({1800.0, 7200.0, 4});
-  std::vector<FitQuery> queries = {
-      FitQuery::earliest(5, 600.0, 0.0),
-      FitQuery::earliest(10, 600.0, -100.0),
-      FitQuery::latest(4, 900.0, 7200.0, 0.0),
-      FitQuery::latest(10, 900.0, 3600.0, 0.0),
-  };
-  auto batch = profile.fit_many(queries);
-  ASSERT_EQ(4u, batch.size());
-  EXPECT_EQ(profile.earliest_fit(5, 600.0, 0.0), batch[0]);
-  EXPECT_EQ(profile.earliest_fit(10, 600.0, -100.0), batch[1]);
-  EXPECT_EQ(profile.latest_fit(4, 900.0, 7200.0, 0.0), batch[2]);
-  EXPECT_EQ(profile.latest_fit(10, 900.0, 3600.0, 0.0), batch[3]);
 }
 
 }  // namespace

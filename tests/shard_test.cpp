@@ -28,6 +28,7 @@
 #include "src/shard/sharded_service.hpp"
 #include "src/util/error.hpp"
 #include "src/workload/log.hpp"
+#include "tests/fnv1a.hpp"
 
 namespace {
 
@@ -309,12 +310,9 @@ TEST(ShardedService, MergedTracesAreIdenticalForAnyThreadCount) {
 /// FNV-1a (64-bit) over the merged trace's JSONL bytes, one '\n' after
 /// each record: a compact fingerprint of a whole replay.
 std::uint64_t trace_hash(const std::vector<TraceRecord>& trace) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t h = fnv::kOffsetBasis;
   for (const TraceRecord& r : trace)
-    for (const char c : online::to_json_line(r) + '\n') {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001b3ull;
-    }
+    h = fnv::fnv1a(online::to_json_line(r) + '\n', h);
   return h;
 }
 

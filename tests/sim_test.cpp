@@ -10,7 +10,6 @@
 #include <sstream>
 #include <vector>
 
-#include "src/resv/fit_query.hpp"
 #include "src/resv/linear_profile.hpp"
 #include "src/resv/profile.hpp"
 #include "src/sim/metrics.hpp"
@@ -19,10 +18,12 @@
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/worker_pool.hpp"
+#include "tests/fit_probe.hpp"
 
 namespace {
 
 using namespace resched;
+using fit_probe::FitProbe;
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
 TEST(ExperimentCells, ConstCalendarQueriesAreThreadSafe) {
@@ -45,16 +46,15 @@ TEST(ExperimentCells, ConstCalendarQueriesAreThreadSafe) {
   const resv::AvailabilityProfile profile(kCapacity, reservations);
   const resv::LinearProfile oracle(kCapacity, reservations);
 
-  std::vector<resv::FitQuery> queries;
+  std::vector<FitProbe> queries;
   for (int i = 0; i < kCells * kFitsPerCell; ++i) {
     int procs = static_cast<int>(rng.uniform_int(1, kCapacity));
     double duration = rng.uniform(0.1, 12.0) * 3600.0;
     double not_before = rng.uniform(0.0, 60.0) * 3600.0;
     double deadline = not_before + rng.uniform(1.0, 48.0) * 3600.0;
     queries.push_back(
-        i % 2 == 0 ? resv::FitQuery::earliest(procs, duration, not_before)
-                   : resv::FitQuery::latest(procs, duration, deadline,
-                                            not_before));
+        i % 2 == 0 ? FitProbe::earliest(procs, duration, not_before)
+                   : FitProbe::latest(procs, duration, deadline, not_before));
   }
 
   std::vector<std::optional<double>> got(queries.size());
@@ -62,14 +62,11 @@ TEST(ExperimentCells, ConstCalendarQueriesAreThreadSafe) {
   pool.run(kCells, [&](int cell) {
     for (int k = 0; k < kFitsPerCell; ++k) {
       auto i = static_cast<std::size_t>(cell * kFitsPerCell + k);
-      const resv::FitQuery& q = queries[i];
-      got[i] = q.kind == resv::FitKind::kEarliest
-                   ? profile.earliest_fit(q.procs, q.duration, q.not_before)
-                   : profile.latest_fit(q.procs, q.duration, q.deadline,
-                                        q.not_before);
+      got[i] = queries[i].answer(profile);
     }
   });
-  const std::vector<std::optional<double>> want = oracle.fit_many(queries);
+  const std::vector<std::optional<double>> want =
+      fit_probe::answer_all(oracle, queries);
   for (std::size_t i = 0; i < queries.size(); ++i)
     ASSERT_EQ(got[i], want[i]) << "query " << i;
 }

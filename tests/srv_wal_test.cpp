@@ -35,6 +35,9 @@
 #include "src/srv/proto.hpp"
 #include "src/srv/server.hpp"
 #include "src/srv/server_core.hpp"
+#include "src/srv/wal.hpp"
+#include "src/util/error.hpp"
+#include "tests/fnv1a.hpp"
 
 namespace proto = resched::srv::proto;
 using resched::dag::Dag;
@@ -365,4 +368,216 @@ TEST(SrvShards, SpilledJobGetsTheAcceptingShardsDecisionAndWindow) {
   const proto::Response cancelled = core.apply(cancel);
   EXPECT_TRUE(cancelled.ok) << cancelled.error;
   EXPECT_EQ(cancelled.state, "cancelled");
+}
+
+namespace {
+
+proto::Request make_request(proto::Verb verb, int job, double t) {
+  proto::Request request;
+  request.verb = verb;
+  request.job_id = job;
+  request.time = t;
+  return request;
+}
+
+proto::Request best_effort_submit(int job, double t, double seconds) {
+  proto::Request submit = make_request(proto::Verb::kSubmit, job, t);
+  submit.dag = Dag({{seconds, 0.0}}, {});
+  return submit;
+}
+
+/// The pinned daemon script: best-effort, loose-deadline and infeasibly
+/// tight submits, counter-offer accepts, cancels (live, finished,
+/// repeated, unknown), submits in the daemon's past, a duplicate id, a
+/// deadline before the clamped submit time, and status reads of single
+/// jobs and of the whole server. A two-shard daemon rejects the tight
+/// submits without a quote, so its accepts fail and are never logged.
+std::vector<proto::Request> pin_script() {
+  std::vector<proto::Request> script;
+  script.push_back(make_request(proto::Verb::kStatus, -1, 0.0));
+  for (int j = 1; j <= 18; ++j) {
+    const double t = 40.0 * static_cast<double>(j - 1);
+    std::vector<TaskCost> costs;
+    std::vector<std::pair<int, int>> edges;
+    for (int v = 0; v <= j % 3; ++v) {
+      costs.push_back({900.0 + 300.0 * static_cast<double>((7 * j + v) % 5),
+                       0.2 * static_cast<double>(v % 3)});
+      if (v > 0) edges.emplace_back(v - 1, v);
+    }
+    proto::Request submit =
+        make_request(proto::Verb::kSubmit, j, j % 7 == 0 ? t - 100.0 : t);
+    submit.dag = Dag(std::move(costs), edges);
+    if (j % 3 == 0)
+      submit.deadline = t + 1.0;  // infeasibly tight
+    else if (j % 3 == 1)
+      submit.deadline = t + 1e6;  // generous
+    script.push_back(submit);
+    if (j % 3 == 0)
+      script.push_back(
+          make_request(proto::Verb::kCounterOfferAccept, j, t + 5.0));
+    if (j % 4 == 0)
+      script.push_back(make_request(proto::Verb::kCancel, j - 1, t + 10.0));
+    if (j % 5 == 0)
+      script.push_back(make_request(proto::Verb::kStatus, j - 2, t + 12.0));
+    if (j % 6 == 0)
+      script.push_back(make_request(proto::Verb::kStatus, -1, t + 15.0));
+  }
+  script.push_back(best_effort_submit(2, 800.0, 600.0));  // duplicate id
+  script.push_back(make_request(proto::Verb::kCancel, 99, 800.0));
+  script.push_back(make_request(proto::Verb::kCounterOfferAccept, 1, 800.0));
+  script.push_back(make_request(proto::Verb::kCancel, 3, 810.0));
+  proto::Request late = make_request(proto::Verb::kSubmit, 19, 0.0);
+  late.dag = Dag({{600.0, 0.0}}, {});
+  late.deadline = 50.0;  // before the clamped submit time: refused
+  script.push_back(late);
+  script.push_back(best_effort_submit(20, 20000.0, 1200.0));
+  for (int j = 1; j <= 20; ++j)
+    script.push_back(make_request(proto::Verb::kStatus, j, 20000.0));
+  script.push_back(make_request(proto::Verb::kStatus, -1, 20000.0));
+  return script;
+}
+
+struct PinnedHashes {
+  std::uint64_t responses = 0;
+  std::uint64_t wal = 0;
+  std::uint64_t trace = 0;
+  std::uint64_t calendar = 0;
+};
+
+/// One response as the pins hash it: encoded, with an error cut down to
+/// its message. RESCHED_CHECK prefixes the failed condition and its source
+/// file and line, which move with every edit and every build directory.
+std::string pinned_line(proto::Response response) {
+  const std::string dash = " \u2014 ";
+  const std::size_t cut = response.error.rfind(dash);
+  if (cut != std::string::npos) response.error.erase(0, cut + dash.size());
+  return proto::encode(response) + '\n';
+}
+
+/// Applies `script` to `core` one request at a time, appending each
+/// response's pinned_line to `responses`.
+void apply_script(ServerCore& core, const std::vector<proto::Request>& script,
+                  std::string& responses) {
+  for (const proto::Request& request : script) {
+    std::uint64_t lsn = 0;
+    responses += pinned_line(core.apply(request, &lsn));
+    core.sync(lsn);
+  }
+}
+
+PinnedHashes hash_state_dir(const std::string& dir,
+                            const std::string& responses) {
+  using resched::fnv::fnv1a;
+  return {fnv1a(responses), fnv1a(read_file(dir + "/wal")),
+          fnv1a(read_file(dir + "/trace.jsonl")),
+          fnv1a(read_file(dir + "/calendar.tsv"))};
+}
+
+PinnedHashes pinned_run(int shards) {
+  const std::string dir = make_temp_dir();
+  std::string responses;
+  {
+    ServerCore core(daemon_config(dir, shards, 0));
+    core.recover();
+    apply_script(core, pin_script(), responses);
+    core.finalize();
+  }
+  return hash_state_dir(dir, responses);
+}
+
+}  // namespace
+
+// What reschedd answers, logs and leaves behind for a fixed script, at one
+// and two shards: any change to a response, a WAL byte, the trace or the
+// calendar fails here. A literal changes only with a behaviour change
+// named in CHANGES.md.
+TEST(SrvPin, ResponsesWalTraceAndCalendarAtOneAndTwoShards) {
+  const PinnedHashes one = pinned_run(1);
+  EXPECT_EQ(one.responses, 0x969bb768e0c7286eull);
+  EXPECT_EQ(one.wal, 0xdadc9659b55efcefull);
+  EXPECT_EQ(one.trace, 0x838e1b14e72143fdull);
+  EXPECT_EQ(one.calendar, 0x5d35ea9dc6fbabfaull);
+
+  const PinnedHashes two = pinned_run(2);
+  EXPECT_EQ(two.responses, 0x4919032f719b16f7ull);
+  EXPECT_EQ(two.wal, 0x994a1155dd6ee37dull);
+  EXPECT_EQ(two.trace, 0x8ca4202e20533922ull);
+  EXPECT_EQ(two.calendar, 0xcd251c0a91671114ull);
+}
+
+// A daemon recovered from a snapshot with an empty WAL tail runs on the
+// restored engine clock: status reports it, and a submit stamped before
+// it is clamped up to it rather than refused in the engine's past.
+TEST(SrvPin, SnapshotRecoveryRunsOnTheRestoredClock) {
+  const std::string dir = make_temp_dir();
+  const ServerCoreConfig config = daemon_config(dir, 1, 3);
+  std::string responses;
+  double live_now = 0.0;
+  {
+    ServerCore core(config);
+    core.recover();
+    apply_script(core, pin_script(), responses);
+    // Pad until the last snapshot covers every record.
+    for (int job = 100; core.wal_records() % 3 != 0; ++job)
+      apply_script(core, {best_effort_submit(job, 30000.0, 600.0)},
+                   responses);
+    live_now = core.now();
+  }
+  ASSERT_TRUE(resched::srv::read_wal(dir + "/wal").records.empty());
+  ASSERT_GT(live_now, 0.0);
+
+  std::string recovered;
+  {
+    ServerCore core(config);
+    core.recover();
+    const proto::Response status =
+        core.apply(make_request(proto::Verb::kStatus, -1, 0.0));
+    EXPECT_EQ(status.now, live_now);
+    std::uint64_t lsn = 0;
+    const proto::Response submit =
+        core.apply(best_effort_submit(200, 0.0, 600.0), &lsn);
+    core.sync(lsn);
+    EXPECT_TRUE(submit.ok) << submit.error;
+    EXPECT_GE(submit.start, live_now);
+    recovered = pinned_line(status) + pinned_line(submit);
+    apply_script(core, {make_request(proto::Verb::kStatus, 200, 0.0)},
+                 recovered);
+    core.finalize();
+  }
+  const PinnedHashes got = hash_state_dir(dir, responses + recovered);
+  EXPECT_EQ(got.responses, 0x85466be054630116ull);
+  EXPECT_EQ(got.wal, 0x3ebea0f30e522e6full);
+  EXPECT_EQ(got.trace, 0x077df96a4d371385ull);
+  EXPECT_EQ(got.calendar, 0x751e4f0fd047e7abull);
+}
+
+// A snapshot whose job-state byte names no JobRecord state is refused on
+// recovery instead of loading a state no switch handles.
+TEST(SrvWal, SnapshotWithAnUnknownJobStateIsRefused) {
+  const std::string dir = make_temp_dir();
+  const ServerCoreConfig config = daemon_config(dir, 1, 3);
+  {
+    ServerCore core(config);
+    core.recover();
+    std::string responses;
+    apply_script(core,
+                 {best_effort_submit(1, 0.0, 600.0),
+                  best_effort_submit(2, 10.0, 600.0),
+                  best_effort_submit(3, 20.0, 600.0)},
+                 responses);
+  }
+  // Envelope: magic, version, capacity, shards (4 bytes each), next record
+  // id (8), next internal id and five tallies (4 each), job count (8); then
+  // the first job's client id and internal id (4 each) and its state byte.
+  constexpr std::size_t kFirstJobState = 4 * 4 + 8 + 6 * 4 + 8 + 2 * 4;
+  std::string snapshot = read_file(dir + "/snapshot");
+  ASSERT_GT(snapshot.size(), kFirstJobState);
+  ASSERT_EQ(snapshot[kFirstJobState], '\0');  // kAccepted
+  snapshot[kFirstJobState] = '\x7f';
+  {
+    std::ofstream out(dir + "/snapshot", std::ios::binary | std::ios::trunc);
+    out << snapshot;
+  }
+  ServerCore core(config);
+  EXPECT_THROW(core.recover(), resched::Error);
 }
