@@ -57,6 +57,7 @@ DynamicResult schedule_ressched_dynamic(
     }
   };
 
+  PlacementWork work;  // uncounted: core.ressched.sweep_* are schedule_ressched's
   for (int task : order) {
     auto ti = static_cast<std::size_t>(task);
     // Time passes while we prepare this request; competing bookings land.
@@ -68,23 +69,8 @@ DynamicResult schedule_ressched_dynamic(
       ready = std::max(
           ready, result.schedule.tasks[static_cast<std::size_t>(pred)].finish);
 
-    int best_np = -1;
-    double best_start = 0.0, best_completion = 0.0;
-    for (int np = bound[ti]; np >= 1; --np) {
-      double exec = dag::exec_time(dag.cost(task), np);
-      if (best_np > 0 && ready + exec > best_completion) break;
-      auto start = profile.earliest_fit(np, exec, ready);
-      if (!start) continue;
-      double completion = *start + exec;
-      if (best_np < 0 || completion < best_completion ||
-          (completion == best_completion && np < best_np)) {
-        best_np = np;
-        best_start = *start;
-        best_completion = completion;
-      }
-    }
-    RESCHED_ASSERT(best_np >= 1, "earliest fit must exist for some np");
-    TaskReservation r{best_np, best_start, best_completion};
+    const TaskReservation r =
+        earliest_completion(profile, dag.cost(task), bound[ti], ready, work);
     result.schedule.tasks[ti] = r;
     profile.add(r.as_reservation());
   }

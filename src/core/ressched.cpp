@@ -1,6 +1,7 @@
 #include "src/core/ressched.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/obs/obs.hpp"
 #include "src/util/error.hpp"
@@ -59,6 +60,49 @@ std::vector<int> bd_bounds(const dag::Dag& dag, int p, int q_hist,
   RESCHED_ASSERT(false, "unreachable BdMethod");
 }
 
+TaskReservation earliest_completion(const resv::AvailabilityProfile& profile,
+                                    const dag::TaskCost& cost, int bound,
+                                    double ready, PlacementWork& work) {
+  // Downward processor-count sweep. Ties prefer the smaller allocation
+  // (same completion, fewer CPU-hours), and exec(np) never shrinks as np
+  // does, so two bounds cut the sweep without changing its answer:
+  //  * ready + exec(np) lower-bounds any completion at np or below; once it
+  //    cannot beat the incumbent the sweep stops;
+  //  * every count in (free->peak_before, np] first finds its processors
+  //    at free->at, so none completes before at + exec(np); when that is
+  //    strictly later than the incumbent the whole range is skipped
+  //    unqueried. Equality still queries: a tie goes to the smaller count.
+  int best_np = -1;
+  double best_start = 0.0, best_completion = 0.0;
+  std::optional<resv::FirstFree> free;  // the last lookup, reused over its range
+  for (int np = bound; np >= 1; --np) {
+    const double exec = dag::exec_time(cost, np);
+    if (best_np > 0) {
+      if (ready + exec > best_completion) break;
+      if (!free || np <= free->peak_before) {
+        free = profile.first_free(np, ready);
+        ++work.lookups;
+      }
+      if (free->at + exec > best_completion) {
+        np = free->peak_before + 1;  // the loop's --np lands on peak_before
+        continue;
+      }
+    }
+    ++work.fits;
+    const std::optional<double> start = profile.earliest_fit(np, exec, ready);
+    if (!start) continue;  // np exceeds momentary capacity
+    const double completion = *start + exec;
+    if (best_np < 0 || completion < best_completion ||
+        (completion == best_completion && np < best_np)) {
+      best_np = np;
+      best_start = *start;
+      best_completion = completion;
+    }
+  }
+  RESCHED_ASSERT(best_np >= 1, "earliest fit must exist for some np");
+  return {best_np, best_start, best_completion};
+}
+
 ResschedResult schedule_ressched(const dag::Dag& dag,
                                  const resv::AvailabilityProfile& competing,
                                  double now, int q_hist,
@@ -85,7 +129,7 @@ ResschedResult schedule_ressched(const dag::Dag& dag,
       (params.bl == BlMethod::kCpar && params.bd == BdMethod::kCpar);
   auto bound =
       share_cpa ? bl_alloc : bd_bounds(dag, p, q_hist, params.bd, params.cpa);
-  std::uint64_t sweep_queries = 0;
+  PlacementWork work;
 
   // Tasks commit as we go, on a copy-on-write view of the calendar.
   resv::AvailabilityProfile profile = competing.view();
@@ -99,37 +143,15 @@ ResschedResult schedule_ressched(const dag::Dag& dag,
       ready = std::max(
           ready, result.schedule.tasks[static_cast<std::size_t>(pred)].finish);
 
-    // Downward processor-count sweep through the indexed calendar, with
-    // dominance pruning. Ties prefer the smaller allocation (same
-    // completion, fewer CPU-hours). ready + exec(np) lower-bounds any
-    // completion at np or below (exec grows as np shrinks), so once that
-    // bound cannot beat the incumbent the remaining counts are strictly
-    // dominated and the sweep stops without querying them.
-    int best_np = -1;
-    double best_start = 0.0, best_completion = 0.0;
-    for (int np = bound[ti]; np >= 1; --np) {
-      const double exec = dag::exec_time(dag.cost(task), np);
-      if (best_np > 0 && ready + exec > best_completion) break;
-      ++sweep_queries;
-      const std::optional<double> start = profile.earliest_fit(np, exec, ready);
-      if (!start) continue;  // np exceeds momentary capacity
-      double completion = *start + exec;
-      if (best_np < 0 || completion < best_completion ||
-          (completion == best_completion && np < best_np)) {
-        best_np = np;
-        best_start = *start;
-        best_completion = completion;
-      }
-    }
-    RESCHED_ASSERT(best_np >= 1, "earliest fit must exist for some np");
-
-    TaskReservation r{best_np, best_start, best_completion};
+    const TaskReservation r =
+        earliest_completion(profile, dag.cost(task), bound[ti], ready, work);
     result.schedule.tasks[ti] = r;
     profile.add(r.as_reservation());
   }
   sweep_span.close();
   OBS_COUNT("core.ressched.tasks_placed", dag.size());
-  OBS_COUNT("core.ressched.sweep_queries", sweep_queries);
+  OBS_COUNT("core.ressched.sweep_queries", work.fits);
+  OBS_COUNT("core.ressched.sweep_lookups", work.lookups);
 
   result.turnaround = result.schedule.turnaround(now);
   result.cpu_hours = result.schedule.cpu_hours();

@@ -26,9 +26,19 @@
 //   BD_CPA   O(V^2 P' + V^2 P + V E P' + V E P + V R P)
 //   BD_CPAR  O(V^2 P' + V E P' + V R P')
 //
-// In practice the dominated-count pruning in phase 2 stops the per-task
-// scan after a handful of processor counts (see schedule_ressched).
+// Placement rule (earliest_completion): counts are tried from the bound
+// down, and two exact bounds keep most of them from reaching the calendar.
+// ready + exec(np) lower-bounds every completion at np or below, so the
+// scan stops once it cannot beat the incumbent. And one first_free lookup
+// at np gives `at`, the first instant np processors are free, and the most
+// processors free before it: every count in between shares that `at`, so
+// when at + exec(np) is strictly later than the incumbent's completion the
+// whole range is skipped without a fit query (DESIGN.md §11, "Dominated
+// processor counts"). Equality still queries, because ties go to fewer
+// processors. Schedules are exactly those of the full scan.
 #pragma once
+
+#include <cstdint>
 
 #include "src/core/schedule.hpp"
 #include "src/cpa/cpa.hpp"
@@ -77,6 +87,23 @@ ResschedResult schedule_ressched(const dag::Dag& dag,
                                  const resv::AvailabilityProfile& competing,
                                  double now, int q_hist,
                                  const ResschedParams& params);
+
+/// Calendar work one or more earliest_completion placements issued.
+struct PlacementWork {
+  std::uint64_t fits = 0;     ///< earliest_fit queries
+  std::uint64_t lookups = 0;  ///< first_free lookups
+};
+
+/// Phase 2 for one task (paper §4.2): over processor counts np in
+/// [1, bound], the <np, start> pair whose earliest fit from `ready` in
+/// `profile` completes first, ties to the smaller count. Counts the
+/// answer cannot come from are skipped without a fit query (see the
+/// placement rule above); the calendar queries issued are added to `work`.
+/// The one placement loop of schedule_ressched and
+/// schedule_ressched_dynamic.
+TaskReservation earliest_completion(const resv::AvailabilityProfile& profile,
+                                    const dag::TaskCost& cost, int bound,
+                                    double ready, PlacementWork& work);
 
 /// Shared helper: per-task allocations used to compute bottom levels.
 std::vector<int> bl_allocations(const dag::Dag& dag, int p, int q_hist,

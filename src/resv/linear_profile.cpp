@@ -117,6 +117,24 @@ std::optional<double> LinearProfile::earliest_fit(int procs, double duration,
   RESCHED_ASSERT(false, "profile tail must be feasible for procs <= capacity");
 }
 
+FirstFree LinearProfile::first_free(int procs, double t) const {
+  RESCHED_CHECK(procs >= 1, "first-free lookup needs at least one processor");
+  // Walk the segments from the one holding t; the first that reaches procs
+  // gives `at`, every one before it the peak.
+  FirstFree answer{std::numeric_limits<double>::infinity(), 0};
+  auto it = steps_.upper_bound(t);
+  --it;
+  for (; it != steps_.end(); ++it) {
+    if (it->second >= procs) {
+      answer.at = std::max(it->first, t);
+      return answer;
+    }
+    answer.peak_before =
+        std::max(answer.peak_before, std::clamp(it->second, 0, capacity_));
+  }
+  return answer;
+}
+
 std::optional<double> LinearProfile::latest_fit(int procs, double duration,
                                                 double deadline,
                                                 double not_before) const {

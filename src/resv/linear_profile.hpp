@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/resv/reservation.hpp"
+#include "src/resv/step_index.hpp"  // FirstFree
 
 namespace resched::resv {
 
@@ -42,6 +43,7 @@ class LinearProfile {
                                      double not_before) const;
   std::optional<double> latest_fit(int procs, double duration, double deadline,
                                    double not_before) const;
+  FirstFree first_free(int procs, double t) const;
 
   double average_available(double from, double to) const;
   int min_available(double from, double to) const;

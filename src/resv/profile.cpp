@@ -106,6 +106,14 @@ std::optional<double> AvailabilityProfile::earliest_fit(
   return fit;
 }
 
+FirstFree AvailabilityProfile::first_free(int procs, double t) const {
+  RESCHED_CHECK(procs >= 1, "first-free lookup needs at least one processor");
+  OBS_COUNT("resv.fit.first_free", 1);
+  // Raw values never exceed the capacity, so the index's floored peak is
+  // already the clamped availability.
+  return index_.first_free(procs, t);
+}
+
 std::optional<double> AvailabilityProfile::latest_fit(int procs,
                                                       double duration,
                                                       double deadline,

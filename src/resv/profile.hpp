@@ -10,6 +10,11 @@
 //   * latest_fit   — the latest such start finishing by `deadline`
 //     (RESSCHEDDL backward scheduling, §5.2).
 //
+// A third query, first_free, serves RESSCHED's processor-count sweep: the
+// first instant a count is free, and the most processors free before it,
+// which lets the sweep skip a whole range of counts that cannot finish
+// earlier (DESIGN.md §11, "Dominated processor counts").
+//
 // Both queries are exact, not heuristics, and since the indexed rewrite
 // they run as O(log n) amortized descents over a treap of the availability
 // steps (resv::StepIndex) instead of linear scans over every breakpoint —
@@ -113,6 +118,13 @@ class AvailabilityProfile {
   /// all-free, so a fit always exists otherwise). duration must be > 0.
   std::optional<double> earliest_fit(int procs, double duration,
                                      double not_before) const;
+
+  /// First instant >= t with `procs` processors free (+inf when none is,
+  /// only possible for procs > capacity) and the most processors free
+  /// anywhere before it in [t, at). Every count in (peak_before, procs]
+  /// first finds its processors at `at`, so none of their earliest fits
+  /// from t starts before it. O(log n), like the fits.
+  FirstFree first_free(int procs, double t) const;
 
   /// Latest start such that start >= not_before and start + duration <=
   /// deadline with `procs` free throughout; empty when no such window exists.

@@ -362,6 +362,54 @@ std::optional<double> StepIndex::earliest_fit(int procs, double duration,
   return s.done ? s.answer : std::nullopt;
 }
 
+FirstFree StepIndex::first_free(int procs, double t) const {
+  struct Scan {
+    int procs;
+    double t;
+    bool done = false;
+    FirstFree answer;
+    std::uint64_t prunes = 0;
+  } s{procs, t, false, {kPosInf, 0}, 0};
+
+  // Same in-order walk as earliest_fit, stopping at the first segment that
+  // reaches procs instead of at the first long-enough run. A subtree below
+  // procs throughout is skipped on its max aggregate, which is exact for
+  // peak_before only once every segment in it ends after t (min_key >= t);
+  // the O(log n) subtrees straddling t are descended instead.
+  auto scan = [&s](auto&& self, const Node* n, int acc, double bound) -> void {
+    if (!n || s.done) return;
+    if (bound <= s.t) return;  // every segment ends at or before t
+    const int tree_max = n->max_val + acc;
+    if (n->min_val + acc >= s.procs) {
+      s.done = true;
+      s.answer.at = std::max(n->min_key, s.t);
+      return;
+    }
+    if (tree_max < s.procs && n->min_key >= s.t) {
+      ++s.prunes;
+      s.answer.peak_before = std::max(s.answer.peak_before, tree_max);
+      return;
+    }
+    const int child_acc = acc + n->pending;
+    self(self, n->l, child_acc, n->key);
+    if (s.done) return;
+    const double self_end = n->r ? n->r->min_key : bound;
+    if (self_end > s.t) {
+      const int value = n->value + acc;
+      if (value >= s.procs) {
+        s.done = true;
+        s.answer.at = std::max(n->key, s.t);
+        return;
+      }
+      s.answer.peak_before = std::max(s.answer.peak_before, value);
+    }
+    self(self, n->r, child_acc, bound);
+  };
+  scan(scan, root_, 0, kPosInf);
+  OBS_COUNT("resv.index.subtree_prunes", s.prunes);
+  return s.answer;
+}
+
 std::optional<double> StepIndex::latest_fit(int procs, double duration,
                                             double deadline,
                                             double not_before) const {

@@ -13,9 +13,10 @@
 //   * a lazy add delta    — reservation add/release is a range update over
 //                           [start, end), applied to O(log n) subtrees.
 //
-// earliest_fit / latest_fit run the same contiguous-run scan as the legacy
-// linear implementation (resv::LinearProfile, kept as the differential-test
-// oracle) but skip uniform stretches of calendar wholesale, so a query
+// earliest_fit / latest_fit run the same contiguous-run scan, and
+// first_free the same segment walk, as the legacy linear implementation
+// (resv::LinearProfile, kept as the differential-test oracle) but skip
+// uniform stretches of calendar wholesale, so a query
 // costs O(log n) amortized instead of a walk over every breakpoint between
 // the query origin and the answer. All read-only queries thread the
 // pending lazy deltas through an accumulator instead of pushing them, so
@@ -46,6 +47,18 @@
 #include "src/resv/arena.hpp"
 
 namespace resched::resv {
+
+/// Answer of a first-free lookup for `procs` processors from time t.
+struct FirstFree {
+  /// First instant >= t at which at least `procs` processors are free;
+  /// +inf when no segment from t on reaches `procs`.
+  double at;
+  /// Most processors free anywhere in [t, at), floored at 0 (so 0 when
+  /// the range is empty or only oversubscribed). Always < procs: every
+  /// count in (peak_before, procs] first finds its processors at `at`.
+  int peak_before;
+  bool operator==(const FirstFree&) const = default;
+};
 
 class StepIndex {
  public:
@@ -90,6 +103,11 @@ class StepIndex {
   /// (only possible when the final segment's value is < procs).
   std::optional<double> earliest_fit(int procs, double duration,
                                      double not_before) const;
+
+  /// First instant >= t with value >= procs, and the largest value (floored
+  /// at 0) over [t, that instant): one in-order descent that skips every
+  /// subtree whose max aggregate is below procs, O(log n).
+  FirstFree first_free(int procs, double t) const;
 
   /// Latest start with start >= not_before, start + duration <= deadline,
   /// and value >= procs throughout; nullopt when no such window exists.

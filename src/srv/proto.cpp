@@ -474,6 +474,20 @@ Request decode_request(std::string_view payload) {
   return request;
 }
 
+Response error_response(const std::exception& failure, int job_id) {
+  Response response;
+  response.ok = false;
+  const auto* error = dynamic_cast<const Error*>(&failure);
+  response.error = error != nullptr ? error->message() : failure.what();
+  response.job_id = job_id;
+  response.state = "error";
+  response.offer = kNaN;
+  response.start = kNaN;
+  response.finish = kNaN;
+  response.now = kNaN;
+  return response;
+}
+
 std::string encode(const Response& response) {
   std::string out = "{\"ok\":";
   out += response.ok ? "true" : "false";

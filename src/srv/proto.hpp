@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -100,6 +101,12 @@ struct Response {
   double now = 0.0;     ///< server stream clock after applying the request
   std::optional<ServerStats> stats;
 };
+
+/// The answer to a request that failed: ok false, state "error", the
+/// failure's text (a resched::Error's message() alone, never its source
+/// path) and null offer, start, finish and now. ServerCore::apply stamps the server clock into `now`; a
+/// frame that does not decode reached no engine and keeps it null.
+Response error_response(const std::exception& failure, int job_id = -1);
 
 // --- JSON payload codec ---------------------------------------------------
 

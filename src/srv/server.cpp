@@ -222,12 +222,7 @@ void Server::run_connection(int fd) {
           slot_errors.emplace_back(std::nullopt);
           batch.push_back(std::move(request));
         } catch (const std::exception& e) {
-          proto::Response response;
-          response.ok = false;
-          response.error = e.what();
-          response.state = "error";
-          slot_errors.emplace_back(std::move(response));
-          OBS_COUNT("srv.rpc.errors", 1);
+          slot_errors.emplace_back(proto::error_response(e));
         }
       }
       if (slot_errors.empty()) break;  // flush fully drained (or unframed)

@@ -280,13 +280,7 @@ proto::Response ServerCore::apply(const proto::Request& request,
       case proto::Verb::kShutdown: response = apply_shutdown(request); break;
     }
   } catch (const std::exception& e) {
-    response.ok = false;
-    response.error = e.what();
-    response.state = "error";
-    response.offer = kNaN;
-    response.start = kNaN;
-    response.finish = kNaN;
-    response.stats.reset();
+    response = proto::error_response(e, request.job_id);
   }
   response.now = now();
   if (wal_lsn != nullptr) *wal_lsn = staged_lsn_;

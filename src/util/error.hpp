@@ -8,13 +8,25 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace resched {
 
 /// Exception thrown on precondition or invariant violation.
 class Error : public std::runtime_error {
  public:
-  explicit Error(const std::string& what) : std::runtime_error(what) {}
+  explicit Error(const std::string& what)
+      : std::runtime_error(what), message_(what) {}
+  Error(const std::string& what, std::string message)
+      : std::runtime_error(what), message_(std::move(message)) {}
+
+  /// What a client may be told: the message alone. For RESCHED_CHECK and
+  /// RESCHED_ASSERT failures what() adds the failed expression and the
+  /// source file and line, which belong in logs, not in responses.
+  const std::string& message() const { return message_; }
+
+ private:
+  std::string message_;
 };
 
 namespace detail {
@@ -24,7 +36,7 @@ namespace detail {
   std::ostringstream os;
   os << kind << " failed: " << expr << " at " << file << ':' << line;
   if (!msg.empty()) os << " — " << msg;
-  throw Error(os.str());
+  throw Error(os.str(), msg.empty() ? std::string(kind) + " failed" : msg);
 }
 }  // namespace detail
 

@@ -1,5 +1,6 @@
 // Standalone bounded differential fuzzer: the indexed reservation calendar
-// (treap-backed AvailabilityProfile) against the linear-scan oracle, under
+// (treap-backed AvailabilityProfile) against the linear-scan oracle, on
+// earliest fits, latest fits and first-free lookups, under
 // adversarial mutation sequences — sliver durations, exact abutment,
 // overlap stacks, zero-proc no-ops, interleaved release/compact, and
 // grouped commits whose runs are randomly cancelled afterwards (the repair
@@ -17,9 +18,11 @@
 //
 // Exit status: 0 on success, 1 on the first divergence (with a replayable
 // seed/round diagnostic), 2 on usage error.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -33,6 +36,8 @@
 namespace {
 
 using namespace resched;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 struct Budget {
   int seeds = 8;
@@ -156,6 +161,32 @@ bool run_campaign(std::uint64_t seed, const Budget& budget) {
                      not_before, show(oe).c_str(), show(ie).c_str());
         return false;
       }
+      // First-free lookups at the probe's count and at p + 1, which no
+      // segment reaches: from not_before, and just before, on and just
+      // after a breakpoint picked without a draw, so the campaign's
+      // mutations stay those of the fits-only fuzzer.
+      const std::vector<double> keys = oracle.breakpoints();
+      std::vector<double> times{not_before};
+      if (!keys.empty()) {
+        const double key = keys[static_cast<std::size_t>(i + probe) %
+                                keys.size()];
+        times.insert(times.end(), {std::nextafter(key, -kInf), key,
+                                   std::nextafter(key, kInf)});
+      }
+      for (int count : {procs, p + 1})
+        for (double t : times) {
+          const resv::FirstFree of = oracle.first_free(count, t);
+          const resv::FirstFree ff = indexed.first_free(count, t);
+          if (of != ff) {
+            std::fprintf(stderr,
+                         "DIVERGENCE (first_free): seed %llu round %d procs "
+                         "%d t %.17g — oracle at %.17g peak %d, indexed at "
+                         "%.17g peak %d\n",
+                         static_cast<unsigned long long>(seed), i, count, t,
+                         of.at, of.peak_before, ff.at, ff.peak_before);
+            return false;
+          }
+        }
       auto ol = oracle.latest_fit(procs, duration, deadline, not_before);
       auto il = indexed.latest_fit(procs, duration, deadline, not_before);
       if (ol != il) {

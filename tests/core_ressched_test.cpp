@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 
 #include "src/core/algorithms.hpp"
 #include "src/core/ressched.hpp"
@@ -26,6 +28,38 @@ resv::AvailabilityProfile random_profile(int p, int n_res, util::Rng& rng) {
                     static_cast<int>(rng.uniform_int(1, std::max(1, p / 3)))});
   }
   return resv::AvailabilityProfile(p, list);
+}
+
+/// The placement loop as it stood before core::earliest_completion, kept
+/// verbatim as the reference: every count from the bound down gets an
+/// earliest fit until the ready-time bound stops the scan.
+core::TaskReservation reference_placement(
+    const resv::AvailabilityProfile& profile, const dag::TaskCost& cost,
+    int bound, double ready, std::uint64_t& fits) {
+  int best_np = -1;
+  double best_start = 0.0, best_completion = 0.0;
+  for (int np = bound; np >= 1; --np) {
+    const double exec = dag::exec_time(cost, np);
+    if (best_np > 0 && ready + exec > best_completion) break;
+    ++fits;
+    const std::optional<double> start = profile.earliest_fit(np, exec, ready);
+    if (!start) continue;  // np exceeds momentary capacity
+    double completion = *start + exec;
+    if (best_np < 0 || completion < best_completion ||
+        (completion == best_completion && np < best_np)) {
+      best_np = np;
+      best_start = *start;
+      best_completion = completion;
+    }
+  }
+  return {best_np, best_start, best_completion};
+}
+
+void expect_same_placement(const core::TaskReservation& got,
+                           const core::TaskReservation& want) {
+  EXPECT_EQ(got.procs, want.procs);
+  EXPECT_EQ(got.start, want.start);
+  EXPECT_EQ(got.finish, want.finish);
 }
 
 class ResschedAllCombos
@@ -231,3 +265,109 @@ TEST(AlgorithmRegistry, NamesAndSizes) {
 }
 
 }  // namespace
+
+// The skipping placement answers bit for bit as the full scan on random
+// calendars (oversubscribed stretches included), costs, bounds and ready
+// times, some of them on a breakpoint, and never queries more.
+TEST(EarliestCompletion, MatchesTheFullScanBitForBit) {
+  util::Rng rng(0xE4C0);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int p = static_cast<int>(rng.uniform_int(1, 300));
+    resv::ReservationList list;
+    const int n_res = static_cast<int>(rng.uniform_int(0, 40));
+    for (int i = 0; i < n_res; ++i) {
+      const double start = rng.uniform(-12.0, 96.0) * 3600.0;
+      const double dur = rng.uniform(0.01, 30.0) * 3600.0;
+      list.push_back({start, start + dur,
+                      static_cast<int>(rng.uniform_int(1, p + p / 4))});
+    }
+    const resv::AvailabilityProfile profile(p, list);
+    const std::vector<double> keys = profile.breakpoints();
+    for (int task = 0; task < 20; ++task) {
+      const dag::TaskCost cost{rng.uniform(1.0, 40.0) * 3600.0,
+                               rng.uniform(0.0, 0.3)};
+      const int bound = static_cast<int>(rng.uniform_int(1, p));
+      double ready = rng.uniform(-12.0, 100.0) * 3600.0;
+      if (!keys.empty() && rng.bernoulli(0.3))
+        ready = keys[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(keys.size()) - 1))];
+      std::uint64_t full_fits = 0;
+      const core::TaskReservation want =
+          reference_placement(profile, cost, bound, ready, full_fits);
+      core::PlacementWork work;
+      const core::TaskReservation got =
+          core::earliest_completion(profile, cost, bound, ready, work);
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " task "
+                                        << task << " bound " << bound);
+      expect_same_placement(got, want);
+      EXPECT_LE(work.fits, full_fits);
+    }
+  }
+}
+
+// p = 10 with 5 busy until 1000: counts 10..6 first find their processors
+// at 1000. After the fit at 10 (done at 1010), one lookup at 9 skips 9..6
+// unqueried, and 5 processors at 0 win.
+TEST(EarliestCompletion, SkipsARangeWhole) {
+  const resv::AvailabilityProfile profile(10,
+                                          resv::ReservationList{{0.0, 1000.0, 5}});
+  const dag::TaskCost cost{100.0, 0.0};
+  EXPECT_EQ(profile.first_free(9, 0.0), (resv::FirstFree{1000.0, 5}));
+  std::uint64_t full_fits = 0;
+  const core::TaskReservation want =
+      reference_placement(profile, cost, 10, 0.0, full_fits);
+  core::PlacementWork work;
+  const core::TaskReservation got =
+      core::earliest_completion(profile, cost, 10, 0.0, work);
+  expect_same_placement(got, want);
+  EXPECT_EQ(got.procs, 5);
+  EXPECT_EQ(got.start, 0.0);
+  EXPECT_EQ(full_fits, 6u);   // 10, 9, 8, 7, 6, 5
+  EXPECT_EQ(work.fits, 2u);   // 10, 5
+  EXPECT_EQ(work.lookups, 2u);  // at 9 (skips 9..6), at 5
+}
+
+// 4 processors free from 100 and 3 from 90: 4 finish at 100 + exec(4) and
+// 3 at 90 + exec(3), the same instant. The lookup bound at 3 equals the
+// incumbent's completion, so 3 must still be queried — and wins the tie
+// with fewer processors. A prune on >= would keep 4.
+TEST(EarliestCompletion, ATieAtTheIncumbentGoesToTheSmallerCount) {
+  const resv::AvailabilityProfile profile(
+      4, resv::ReservationList{{0.0, 90.0, 4}, {90.0, 100.0, 1}});
+  const dag::TaskCost cost{120.0, 0.0};
+  ASSERT_EQ(90.0 + dag::exec_time(cost, 3), 100.0 + dag::exec_time(cost, 4));
+  EXPECT_EQ(profile.first_free(3, 0.0), (resv::FirstFree{90.0, 0}));
+  std::uint64_t full_fits = 0;
+  const core::TaskReservation want =
+      reference_placement(profile, cost, 4, 0.0, full_fits);
+  core::PlacementWork work;
+  const core::TaskReservation got =
+      core::earliest_completion(profile, cost, 4, 0.0, work);
+  expect_same_placement(got, want);
+  EXPECT_EQ(got.procs, 3);
+  EXPECT_EQ(got.start, 90.0);
+  EXPECT_EQ(work.fits, 2u);  // 4, 3; 2 and 1 skipped on the lookup at 3
+}
+
+// Ready mid-way through a stretch with 4 of 8 processors free: the lookup
+// at 4 answers `at` = the ready time itself, so the range check equals the
+// ready-time bound and 4 is queried and placed at once.
+TEST(EarliestCompletion, LookupAtTheReadyTime) {
+  const resv::AvailabilityProfile profile(8,
+                                          resv::ReservationList{{0.0, 1000.0, 4}});
+  const dag::TaskCost cost{800.0, 0.0};
+  const double ready = 50.0;
+  EXPECT_EQ(profile.first_free(4, ready), (resv::FirstFree{ready, 0}));
+  EXPECT_EQ(profile.first_free(5, ready), (resv::FirstFree{1000.0, 4}));
+  std::uint64_t full_fits = 0;
+  const core::TaskReservation want =
+      reference_placement(profile, cost, 8, ready, full_fits);
+  core::PlacementWork work;
+  const core::TaskReservation got =
+      core::earliest_completion(profile, cost, 8, ready, work);
+  expect_same_placement(got, want);
+  EXPECT_EQ(got.procs, 4);
+  EXPECT_EQ(got.start, ready);
+  EXPECT_EQ(work.fits, 2u);     // 8, 4
+  EXPECT_EQ(work.lookups, 2u);  // at 7 (skips 7..5), at 4 (at = ready)
+}

@@ -1,0 +1,202 @@
+// Pins of the house contract on small fixed inputs from perfbench's
+// generators: what the program computes, as an FNV-1a hash of its output
+// bytes, and how much work it does for it, as counts that read the same on
+// every host. A hash changes only with a behaviour change named in
+// CHANGES.md; a count only with a change to the work, its old and new
+// figures given there.
+//
+// The Table-4 sweep: perfbench's cells (one scenario instance per
+// application spec and batch-log platform, stratified as
+// perfbench/perfbench.cpp's make_sweep_cells draws them, seed 1), each
+// scheduled by the four RESSCHED bounding methods of Table 4 and by the
+// dynamic-calendar variant (src/core/dynamic.hpp), which places tasks with
+// the same earliest-completion loop.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "src/core/algorithms.hpp"
+#include "src/core/dynamic.hpp"
+#include "src/core/ressched.hpp"
+#include "src/obs/obs.hpp"
+#include "src/sim/scenario.hpp"
+#include "src/util/rng.hpp"
+#include "tests/fnv1a.hpp"
+
+namespace {
+
+using namespace resched;
+
+// perfbench's stratification: every application spec on every platform,
+// the grid point (phi x decay method) and instance indices from the seed.
+constexpr int kPlatforms = 4;
+constexpr int kGridPerPlatform = 9;
+constexpr std::uint64_t kSeed = 1;
+// The pinned subset: every kStride-th cell, which keeps the test within a
+// few seconds under ASan while covering every platform and most specs.
+constexpr std::size_t kStride = 3;
+
+std::vector<sim::Instance> sweep_cells() {
+  const std::vector<sim::ScenarioSpec> grid = sim::synthetic_grid();
+  const auto apps = grid.size() / (kPlatforms * kGridPerPlatform);
+  util::Rng rng(util::derive_seed(kSeed, {0x5EE9}));
+  std::vector<sim::Instance> cells;
+  std::size_t drawn = 0;
+  for (std::size_t a = 0; a < apps; ++a)
+    for (int p = 0; p < kPlatforms; ++p) {
+      const auto k = static_cast<std::size_t>(
+          rng.uniform_int(0, kGridPerPlatform - 1));
+      const sim::ScenarioSpec& scenario =
+          grid[(a * kPlatforms + static_cast<std::size_t>(p)) *
+                   kGridPerPlatform +
+               k];
+      const auto dag_idx = static_cast<int>(rng.uniform_int(0, 19));
+      const auto resv_idx = static_cast<int>(rng.uniform_int(0, 49));
+      if (drawn++ % kStride == 0)
+        cells.push_back(
+            sim::make_instance(scenario, dag_idx, resv_idx, kSeed));
+    }
+  return cells;
+}
+
+/// Appends one line per task — procs, start and finish, the doubles as
+/// exact hexfloats — to `out`.
+void append_schedule(const core::AppSchedule& schedule, std::string& out) {
+  char line[96];
+  for (const core::TaskReservation& t : schedule.tasks) {
+    std::snprintf(line, sizeof line, "%d %a %a\n", t.procs, t.start, t.finish);
+    out += line;
+  }
+}
+
+core::DynamicResult schedule_dynamic(const sim::Instance& inst,
+                                     const core::ResschedParams& params,
+                                     std::size_t cell) {
+  util::Rng rng(util::derive_seed(kSeed, {0xD1CE, cell}));
+  return core::schedule_ressched_dynamic(inst.dag, inst.profile, inst.now,
+                                         inst.q_hist, params, 60.0,
+                                         core::ArrivalModel{}, rng);
+}
+
+/// Calendar queries one cell costs: the earliest fits and first-free
+/// lookups of its four Table-4 schedules (what core.ressched.sweep_queries
+/// and core.ressched.sweep_lookups count), and of its dynamic schedule,
+/// competing arrivals' bookings included.
+struct CellWork {
+  std::uint64_t sweep_fits = 0;
+  std::uint64_t sweep_lookups = 0;
+  std::uint64_t dynamic_fits = 0;
+  std::uint64_t dynamic_lookups = 0;
+  bool operator==(const CellWork&) const = default;
+};
+
+#ifndef RESCHED_OBS_DISABLED
+std::uint64_t counter(const char* name) {
+  for (const obs::CounterSample& c : obs::registry().snapshot().counters)
+    if (c.name == name) return c.value;
+  return 0;
+}
+#endif
+
+}  // namespace
+
+// The schedules of the sweep: every cell, every Table-4 method and the
+// dynamic variant (under BD_ALL, the bound with the most counts to sweep),
+// each task's procs, start and finish.
+TEST(SweepPin, Table4SchedulesAreByteIdentical) {
+  const std::vector<sim::Instance> cells = sweep_cells();
+  const std::vector<core::NamedRessched> algos = core::table4_algorithms();
+  ASSERT_EQ(algos.front().params.bd, core::BdMethod::kAll);
+  ASSERT_EQ(cells.size(), 54u);
+  std::string bytes;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const sim::Instance& inst = cells[c];
+    for (const core::NamedRessched& algo : algos)
+      append_schedule(core::schedule_ressched(inst.dag, inst.profile, inst.now,
+                                              inst.q_hist, algo.params)
+                          .schedule,
+                      bytes);
+    append_schedule(schedule_dynamic(inst, algos.front().params, c).schedule,
+                    bytes);
+  }
+  EXPECT_EQ(fnv::fnv1a(bytes), 0x4742da818504d6aeull)
+      << bytes.size() << " bytes";
+}
+
+// The work behind those schedules, per cell. Placement skips processor
+// counts whose completion cannot beat the incumbent (the ready-time bound
+// and the first-free range skip of core::earliest_completion); dropping
+// either moves these counts while every schedule above stays the same.
+TEST(SweepPin, Table4CalendarWorkPerCell) {
+#ifdef RESCHED_OBS_DISABLED
+  GTEST_SKIP() << "metrics are compiled out";
+#else
+  // {sweep fits, sweep lookups, dynamic fits, dynamic lookups} per cell.
+  static constexpr CellWork kExpected[] = {
+      {911, 154, 459, 100}, {71, 36, 34, 20},
+      {15803, 383, 7775, 256}, {583, 135, 314, 85},
+      {4781, 373, 2348, 263}, {6614, 588, 4633, 363},
+      {43739, 849, 20777, 584}, {487, 168, 267, 95},
+      {5284, 214, 3054, 137}, {2407, 322, 1935, 193},
+      {8707, 254, 6208, 166}, {462, 142, 744, 128},
+      {2357, 188, 1427, 81}, {992, 154, 748, 69},
+      {33192, 677, 20716, 417}, {408, 105, 126, 70},
+      {4985, 315, 2563, 222}, {200, 76, 50, 40},
+      {7946, 206, 4037, 149}, {352, 151, 221, 123},
+      {727, 260, 993, 150}, {7755, 382, 4068, 211},
+      {3564, 309, 12074, 164}, {215, 115, 385, 70},
+      {1876, 293, 3749, 168}, {4362, 251, 1694, 197},
+      {18467, 338, 10992, 201}, {668, 170, 265, 103},
+      {5362, 215, 2862, 187}, {1716, 236, 1856, 164},
+      {14659, 514, 10298, 352}, {318, 131, 164, 114},
+      {1608, 187, 1592, 169}, {1646, 211, 969, 115},
+      {19193, 446, 11163, 303}, {1408, 634, 715, 418},
+      {2523, 207, 2139, 166}, {3631, 267, 2122, 179},
+      {40359, 776, 30520, 523}, {207, 92, 50, 44},
+      {6989, 385, 4608, 306}, {851, 165, 415, 129},
+      {11976, 273, 8207, 172}, {283, 144, 249, 150},
+      {7575, 361, 4603, 217}, {3449, 315, 1764, 208},
+      {11949, 391, 5692, 273}, {210, 101, 62, 57},
+      {5518, 323, 3055, 243}, {2046, 219, 1485, 141},
+      {23438, 769, 17522, 677}, {347, 151, 187, 98},
+      {7602, 382, 3840, 261}, {2116, 187, 1313, 198},
+  };
+  const std::vector<sim::Instance> cells = sweep_cells();
+  const std::vector<core::NamedRessched> algos = core::table4_algorithms();
+  std::vector<CellWork> got;
+  obs::set_metrics_enabled(true);
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const sim::Instance& inst = cells[c];
+    CellWork work;
+    obs::registry().reset();
+    for (const core::NamedRessched& algo : algos)
+      core::schedule_ressched(inst.dag, inst.profile, inst.now, inst.q_hist,
+                              algo.params);
+    work.sweep_fits = counter("core.ressched.sweep_queries");
+    work.sweep_lookups = counter("core.ressched.sweep_lookups");
+    obs::registry().reset();
+    schedule_dynamic(inst, algos.front().params, c);
+    work.dynamic_fits = counter("resv.fit.earliest");
+    work.dynamic_lookups = counter("resv.fit.first_free");
+    got.push_back(work);
+  }
+  obs::set_metrics_enabled(false);
+
+  std::string table;
+  bool same = got.size() == std::size(kExpected);
+  for (std::size_t c = 0; c < got.size(); ++c) {
+    const CellWork& w = got[c];
+    const bool row_same = c < std::size(kExpected) && w == kExpected[c];
+    same = same && row_same;
+    table += (row_same ? "      {" : "  /**/{") +
+             std::to_string(w.sweep_fits) + ", " +
+             std::to_string(w.sweep_lookups) + ", " +
+             std::to_string(w.dynamic_fits) + ", " +
+             std::to_string(w.dynamic_lookups) + "},\n";
+  }
+  EXPECT_TRUE(same) << "per-cell work (rows marked /**/ moved):\n" << table;
+#endif
+}

@@ -19,7 +19,9 @@
 #include <algorithm>
 #include <cmath>
 #include <latch>
+#include <limits>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -152,6 +154,50 @@ std::vector<Op> generate_ops(std::uint64_t seed, int length, int capacity) {
   return ops;
 }
 
+/// Answers `battery` on both profiles; a diagnostic on the first answer
+/// that differs.
+std::optional<std::string> first_divergence(const AvailabilityProfile& indexed,
+                                            const LinearProfile& oracle,
+                                            const std::vector<FitProbe>& battery) {
+  auto got = fit_probe::answer_all(indexed, battery);
+  auto want = fit_probe::answer_all(oracle, battery);
+  for (std::size_t i = 0; i < battery.size(); ++i) {
+    if (got[i] == want[i]) continue;
+    const FitProbe& q = battery[i];
+    std::ostringstream out;
+    out.precision(17);
+    out << q.name() << "(procs=" << q.procs << ", duration=" << q.duration
+        << ", not_before=" << q.not_before << ", deadline=" << q.deadline
+        << "): indexed=" << got[i] << " oracle=" << want[i];
+    return out.str();
+  }
+  return std::nullopt;
+}
+
+/// First-free lookups for every count in `procs_choices` and capacity + 1,
+/// which no segment reaches (at = +inf): one at a random time and three at
+/// a random breakpoint — just before it, on it and just after it.
+std::vector<FitProbe> lookup_battery(const AvailabilityProfile& profile,
+                                     std::span<const int> procs_choices,
+                                     util::Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> keys = profile.breakpoints();
+  std::vector<int> counts(procs_choices.begin(), procs_choices.end());
+  counts.push_back(profile.capacity() + 1);
+  std::vector<FitProbe> lookups;
+  for (int procs : counts) {
+    lookups.push_back(
+        FitProbe::first_free(procs, rng.uniform(-40.0, 220.0) * 3600.0));
+    if (keys.empty()) continue;
+    const double key = keys[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(keys.size()) - 1))];
+    for (double t : {std::nextafter(key, -kInf), key,
+                     std::nextafter(key, kInf)})
+      lookups.push_back(FitProbe::first_free(procs, t));
+  }
+  return lookups;
+}
+
 /// Compares the full observable surface of both profiles; returns a
 /// diagnostic on the first divergence.
 std::optional<std::string> compare_profiles(const AvailabilityProfile& indexed,
@@ -173,23 +219,8 @@ std::optional<std::string> compare_profiles(const AvailabilityProfile& indexed,
     queries.push_back(FitProbe::earliest(procs, duration, not_before));
     queries.push_back(FitProbe::latest(procs, duration, deadline, not_before));
   }
-  auto got = fit_probe::answer_all(indexed, queries);
-  auto want = fit_probe::answer_all(oracle, queries);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (got[i] != want[i]) {
-      const FitProbe& q = queries[i];
-      std::ostringstream out;
-      out.precision(17);
-      out << (q.is_latest ? "latest_fit" : "earliest_fit")
-          << "(procs=" << q.procs << ", duration=" << q.duration
-          << ", not_before=" << q.not_before << ", deadline=" << q.deadline
-          << "): indexed="
-          << (got[i] ? std::to_string(*got[i]) : std::string("nullopt"))
-          << " oracle="
-          << (want[i] ? std::to_string(*want[i]) : std::string("nullopt"));
-      return out.str();
-    }
-  }
+  if (auto failure = first_divergence(indexed, oracle, queries))
+    return failure;
 
   for (int probe = 0; probe < 4; ++probe) {
     double t = rng.uniform(-40.0, 220.0) * 3600.0;
@@ -201,7 +232,8 @@ std::optional<std::string> compare_profiles(const AvailabilityProfile& indexed,
     if (indexed.average_available(t, to) != oracle.average_available(t, to))
       return "average_available diverged";
   }
-  return std::nullopt;
+  return first_divergence(indexed, oracle,
+                          lookup_battery(indexed, procs_choices, rng));
 }
 
 /// Replays `ops` against both implementations, differentially checking
@@ -376,7 +408,7 @@ void apply_op(LinearProfile& oracle, const Op& op) {
 struct Observed {
   std::vector<double> breakpoints;
   std::vector<std::pair<double, int>> steps;
-  std::vector<std::optional<double>> fits;
+  std::vector<FitProbe::Answer> fits;
   int reservations = 0;
   bool operator==(const Observed&) const = default;
 };
@@ -392,6 +424,10 @@ std::vector<FitProbe> fit_battery(std::uint64_t seed, int capacity) {
     queries.push_back(FitProbe::earliest(procs, duration, not_before));
     queries.push_back(FitProbe::latest(procs, duration, deadline, not_before));
   }
+  for (int k = 0; k < 6; ++k)
+    queries.push_back(FitProbe::first_free(
+        static_cast<int>(rng.uniform_int(1, capacity + 1)),
+        rng.uniform(-40.0, 220.0) * 3600.0));
   return queries;
 }
 

@@ -57,7 +57,7 @@ TEST(ExperimentCells, ConstCalendarQueriesAreThreadSafe) {
                    : FitProbe::latest(procs, duration, deadline, not_before));
   }
 
-  std::vector<std::optional<double>> got(queries.size());
+  std::vector<FitProbe::Answer> got(queries.size());
   util::WorkerPool pool(kCells);
   pool.run(kCells, [&](int cell) {
     for (int k = 0; k < kFitsPerCell; ++k) {
@@ -65,7 +65,7 @@ TEST(ExperimentCells, ConstCalendarQueriesAreThreadSafe) {
       got[i] = queries[i].answer(profile);
     }
   });
-  const std::vector<std::optional<double>> want =
+  const std::vector<FitProbe::Answer> want =
       fit_probe::answer_all(oracle, queries);
   for (std::size_t i = 0; i < queries.size(); ++i)
     ASSERT_EQ(got[i], want[i]) << "query " << i;

@@ -13,9 +13,13 @@
 //     in that state after replay too.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -138,7 +142,75 @@ bool outcome_matches(const Observed& seen, const std::string& golden_state) {
   return golden_state == seen.submit_state;
 }
 
+/// Sends one framed `payload` over a fresh connection to `sock` and
+/// returns the payload of the response frame read back.
+std::string raw_round_trip(const std::string& sock, const std::string& payload) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, sock.c_str(), sizeof addr.sun_path - 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  const std::string framed = proto::frame(payload);
+  EXPECT_EQ(::write(fd, framed.data(), framed.size()),
+            static_cast<ssize_t>(framed.size()));
+  std::string buffer, response;
+  std::size_t consumed = 0;
+  char chunk[4096];
+  while (proto::try_parse_frame(buffer, consumed, response) ==
+         proto::FrameStatus::kNeedMore) {
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n <= 0) break;
+    buffer.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return response;
+}
+
 }  // namespace
+
+// A frame that arrives intact but does not decode is answered like any
+// other error: the message alone (here the DAG constructor's check, whose
+// diagnostic names the failed expression and its source file) and null
+// offer, start and finish. It reached no engine, so `now` is null too.
+TEST(SrvErrors, MalformedFrameAnswersWithNullWindowAndNoSourcePath) {
+  const std::string dir = make_temp_dir();
+  const std::string sock = dir + "/d.sock";
+  ServerCoreConfig config;
+  config.service.capacity = 16;
+  config.state_dir = dir;
+  ServerCore core(config);
+  core.recover();
+  Server server(core, [&] {
+    ServerOptions options;
+    options.unix_path = sock;
+    return options;
+  }());
+  server.start();
+  std::thread acceptor([&server] { server.serve(); });
+
+  const std::string self_loop = raw_round_trip(
+      sock,
+      "{\"verb\":\"submit\",\"job\":5,\"t\":0,\"deadline\":null,"
+      "\"dag\":{\"costs\":[[600,0]],\"edges\":[[0,0]]}}");
+  EXPECT_EQ(self_loop,
+            "{\"ok\":false,\"error\":\"self-loop edge\",\"job\":-1,"
+            "\"state\":\"error\",\"offer\":null,\"start\":null,"
+            "\"finish\":null,\"now\":null}");
+  const proto::Response not_json =
+      proto::decode_response(raw_round_trip(sock, "not json"));
+  EXPECT_FALSE(not_json.ok);
+  EXPECT_EQ(not_json.error.find(".cpp"), std::string::npos) << not_json.error;
+  EXPECT_TRUE(std::isnan(not_json.offer));
+  EXPECT_TRUE(std::isnan(not_json.start));
+  EXPECT_TRUE(std::isnan(not_json.finish));
+
+  Client::connect_unix(sock).shutdown_server();
+  acceptor.join();
+  core.finalize();
+}
 
 TEST(SrvStress, ConcurrentClientsMatchGoldenWalReplay) {
   const std::string dir = make_temp_dir();

@@ -444,23 +444,13 @@ struct PinnedHashes {
   std::uint64_t calendar = 0;
 };
 
-/// One response as the pins hash it: encoded, with an error cut down to
-/// its message. RESCHED_CHECK prefixes the failed condition and its source
-/// file and line, which move with every edit and every build directory.
-std::string pinned_line(proto::Response response) {
-  const std::string dash = " \u2014 ";
-  const std::size_t cut = response.error.rfind(dash);
-  if (cut != std::string::npos) response.error.erase(0, cut + dash.size());
-  return proto::encode(response) + '\n';
-}
-
 /// Applies `script` to `core` one request at a time, appending each
-/// response's pinned_line to `responses`.
+/// encoded response and a newline to `responses`.
 void apply_script(ServerCore& core, const std::vector<proto::Request>& script,
                   std::string& responses) {
   for (const proto::Request& request : script) {
     std::uint64_t lsn = 0;
-    responses += pinned_line(core.apply(request, &lsn));
+    responses += proto::encode(core.apply(request, &lsn)) + '\n';
     core.sync(lsn);
   }
 }
@@ -539,7 +529,7 @@ TEST(SrvPin, SnapshotRecoveryRunsOnTheRestoredClock) {
     core.sync(lsn);
     EXPECT_TRUE(submit.ok) << submit.error;
     EXPECT_GE(submit.start, live_now);
-    recovered = pinned_line(status) + pinned_line(submit);
+    recovered = proto::encode(status) + '\n' + proto::encode(submit) + '\n';
     apply_script(core, {make_request(proto::Verb::kStatus, 200, 0.0)},
                  recovered);
     core.finalize();
@@ -580,4 +570,23 @@ TEST(SrvWal, SnapshotWithAnUnknownJobStateIsRefused) {
   }
   ServerCore core(config);
   EXPECT_THROW(core.recover(), resched::Error);
+}
+
+// A refusal answers with its message alone: no failed expression, no
+// source path, and null offer, start and finish.
+TEST(SrvErrors, AcceptWithNoOpenOfferAnswersItsMessageOnly) {
+  const std::string dir = make_temp_dir();
+  ServerCore core(daemon_config(dir, 1, 0));
+  core.recover();
+  std::uint64_t lsn = 0;
+  ASSERT_TRUE(core.apply(best_effort_submit(1, 0.0, 600.0), &lsn).ok);
+  core.sync(lsn);
+  const proto::Response refused =
+      core.apply(make_request(proto::Verb::kCounterOfferAccept, 1, 10.0));
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.error, "srv: no open counter-offer for this job");
+  EXPECT_EQ(proto::encode(refused),
+            "{\"ok\":false,\"error\":\"srv: no open counter-offer for this "
+            "job\",\"job\":1,\"state\":\"error\",\"offer\":null,\"start\":"
+            "null,\"finish\":null,\"now\":0}");
 }
