@@ -55,6 +55,11 @@ struct ServiceAccess {
   static int& used_procs(Service& s) { return s.used_procs_; }
   static int& next_external_id(Service& s) { return s.next_external_id_; }
   static std::uint64_t& stale_events(Service& s) { return s.stale_events_; }
+  /// Restored by reschedd's snapshot envelope, which carries it beside the
+  /// checkpoint (src/srv/server_core.cpp).
+  static std::uint64_t& events_processed(Service& s) {
+    return s.events_processed_;
+  }
   static bool& ft_active(Service& s) { return s.ft_active_; }
 
   static void change_usage(Service& s, double t, int delta) {

@@ -19,7 +19,10 @@ namespace {
 
 resv::AvailabilityProfile read_calendar(std::istream& in,
                                         const std::string& source) {
-  std::optional<resv::AvailabilityProfile> profile;
+  // Reservations are collected and built into the profile in one sorted
+  // pass once the file is read; every line is validated as it is parsed.
+  std::optional<int> capacity;
+  resv::ReservationList reservations;
   std::string line;
   int lineno = 0;
   while (std::getline(in, line)) {
@@ -34,11 +37,11 @@ resv::AvailabilityProfile read_calendar(std::istream& in,
       int procs = 0;
       if (!(fields >> procs) || procs < 1)
         calendar_error(source, lineno, "expected: capacity <processors>");
-      if (profile)
+      if (capacity)
         calendar_error(source, lineno, "duplicate capacity directive");
-      profile.emplace(procs);
+      capacity = procs;
     } else if (directive == "resv") {
-      if (!profile)
+      if (!capacity)
         calendar_error(source, lineno, "capacity must precede reservations");
       double start = 0.0, end = 0.0;
       int procs = 0;
@@ -46,14 +49,14 @@ resv::AvailabilityProfile read_calendar(std::istream& in,
         calendar_error(source, lineno,
                        "expected: resv <start> <end> <procs> with start < "
                        "end and procs >= 1");
-      profile->add({start, end, procs});
+      reservations.push_back({start, end, procs});
     } else {
       calendar_error(source, lineno,
                      "unknown directive '" + directive + "'");
     }
   }
-  if (!profile) calendar_error(source, lineno, "missing capacity directive");
-  return *profile;
+  if (!capacity) calendar_error(source, lineno, "missing capacity directive");
+  return resv::AvailabilityProfile(*capacity, reservations);
 }
 
 resv::AvailabilityProfile read_calendar_file(const std::string& path) {

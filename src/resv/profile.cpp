@@ -13,18 +13,48 @@ namespace resched::resv {
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
+
+void check_capacity(int capacity) {
+  RESCHED_CHECK(capacity >= 1, "platform needs at least one processor");
+}
+
+/// The one check add(), release() and the list build share, so a
+/// malformed reservation raises the same error through each.
+void check_reservation(const Reservation& r) {
+  RESCHED_CHECK(r.procs >= 0, "reservation processor count must be >= 0");
+  RESCHED_CHECK(r.start < r.end, "reservation must have positive duration");
+}
+
+/// The range_adds that add() would issue for `reservations`, in order:
+/// zero-proc reservations add nothing. Throws what the first malformed
+/// reservation would throw from add().
+std::vector<StepIndex::RangeAdd> range_adds(
+    int capacity, std::span<const Reservation> reservations) {
+  check_capacity(capacity);
+  std::vector<StepIndex::RangeAdd> adds;
+  adds.reserve(reservations.size());
+  for (const Reservation& r : reservations) {
+    check_reservation(r);
+    if (r.procs > 0) adds.push_back({r.start, r.end, -r.procs});
+  }
+  return adds;
+}
 }  // namespace
 
 AvailabilityProfile::AvailabilityProfile(int capacity)
     : index_(capacity), capacity_(capacity) {
-  RESCHED_CHECK(capacity >= 1, "platform needs at least one processor");
+  check_capacity(capacity);
 }
 
 AvailabilityProfile::AvailabilityProfile(
     int capacity, std::span<const Reservation> reservations)
-    : AvailabilityProfile(capacity) {
-  for (const Reservation& r : reservations) add(r);
-}
+    : AvailabilityProfile(range_adds(capacity, reservations), capacity) {}
+
+AvailabilityProfile::AvailabilityProfile(
+    const std::vector<StepIndex::RangeAdd>& adds, int capacity)
+    : index_(capacity, adds),
+      capacity_(capacity),
+      reservation_count_(static_cast<int>(adds.size())) {}
 
 AvailabilityProfile::AvailabilityProfile(StepIndex index, int capacity,
                                          int reservation_count)
@@ -37,16 +67,14 @@ AvailabilityProfile AvailabilityProfile::view() const {
 }
 
 void AvailabilityProfile::add(const Reservation& r) {
-  RESCHED_CHECK(r.procs >= 0, "reservation processor count must be >= 0");
-  RESCHED_CHECK(r.start < r.end, "reservation must have positive duration");
+  check_reservation(r);
   if (r.procs == 0) return;
   index_.range_add(r.start, r.end, -r.procs);
   ++reservation_count_;
 }
 
 void AvailabilityProfile::release(const Reservation& r) {
-  RESCHED_CHECK(r.procs >= 0, "reservation processor count must be >= 0");
-  RESCHED_CHECK(r.start < r.end, "reservation must have positive duration");
+  check_reservation(r);
   if (r.procs == 0) return;
   index_.range_add(r.start, r.end, r.procs);
   // Drop breakpoints made redundant so the structure converges to what a

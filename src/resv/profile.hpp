@@ -48,7 +48,11 @@ class AvailabilityProfile {
   /// Empty profile: all `capacity` processors free forever.
   explicit AvailabilityProfile(int capacity);
 
-  /// Profile with an initial set of competing reservations.
+  /// Profile with an initial set of competing reservations: the profile
+  /// that AvailabilityProfile(capacity) and add() of each reservation in
+  /// order would hold, down to the index's tree, built in one sorted pass
+  /// (StepIndex's list build) instead of R incremental adds. Throws what
+  /// the first malformed reservation would throw from add().
   AvailabilityProfile(int capacity, std::span<const Reservation> reservations);
 
   /// Copy-on-write scratch copy for one scheduling pass. O(1) to take:
@@ -161,6 +165,8 @@ class AvailabilityProfile {
 
  private:
   AvailabilityProfile(StepIndex index, int capacity, int reservation_count);
+  AvailabilityProfile(const std::vector<StepIndex::RangeAdd>& adds,
+                      int capacity);
 
   StepIndex index_;  // treap over the availability steps; -inf sentinel
   int capacity_;

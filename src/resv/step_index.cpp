@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "src/obs/obs.hpp"
 #include "src/util/error.hpp"
@@ -14,6 +15,7 @@ namespace resched::resv {
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr double kPosInf = std::numeric_limits<double>::infinity();
+constexpr std::uint64_t kPrioSeed = 0x5eedc0ffee15900dULL;
 
 std::uint64_t splitmix(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
@@ -31,9 +33,86 @@ std::uint64_t fresh_tag() {
 }  // namespace
 
 StepIndex::StepIndex(int base_value)
-    : prio_state_(0x5eedc0ffee15900dULL), tag_(fresh_tag()) {
+    : prio_state_(kPrioSeed), tag_(fresh_tag()) {
   root_ = pool_.create(kNegInf, base_value, next_prio(), tag_);
   size_ = 1;
+}
+
+StepIndex::StepIndex(int base_value, std::span<const RangeAdd> adds)
+    : prio_state_(kPrioSeed), tag_(fresh_tag()) {
+  // Every endpoint with its position in the incremental order (add i's
+  // start is 2i, its end 2i + 1) and its delta, sorted by key and, among
+  // equal keys, by position, so each key's group opens with the endpoint
+  // that would have inserted it — and whose bits (0.0 or -0.0) it keeps.
+  struct Endpoint {
+    double key;
+    std::uint32_t pos;
+    int delta;
+  };
+  std::vector<Endpoint> ends;
+  ends.reserve(2 * adds.size());
+  for (std::size_t i = 0; i < adds.size(); ++i) {
+    const RangeAdd& a = adds[i];
+    RESCHED_ASSERT(a.start < a.end, "bulk range_add needs start < end");
+    const auto pos = static_cast<std::uint32_t>(2 * i);
+    ends.push_back({a.start, pos, a.delta});
+    ends.push_back({a.end, pos + 1, -a.delta});
+  }
+  const auto by_key_then_pos = [](const Endpoint& a, const Endpoint& b) {
+    return a.key < b.key || (a.key == b.key && a.pos < b.pos);
+  };
+  std::sort(ends.begin(), ends.end(), by_key_then_pos);
+
+  // Breakpoint values are prefix sums of the deltas in key order. Keys at
+  // -inf fold into the sentinel, which ensure_key() finds already there.
+  struct Step {
+    double key;
+    int value;
+    std::uint32_t pos;  // of the endpoint that first inserts the key
+  };
+  std::vector<Step> steps;
+  steps.reserve(ends.size() + 1);
+  int value = base_value;
+  std::size_t e = 0;
+  for (; e < ends.size() && ends[e].key == kNegInf; ++e) value += ends[e].delta;
+  steps.push_back({kNegInf, value, 0});
+  while (e < ends.size()) {
+    const Endpoint& first = ends[e];
+    for (; e < ends.size() && ends[e].key == first.key; ++e)
+      value += ends[e].delta;
+    steps.push_back({first.key, value, first.pos});
+  }
+
+  // Priorities in the order the adds would first insert each key, after
+  // the sentinel's own draw.
+  std::vector<std::uint64_t> prio(steps.size());
+  prio[0] = next_prio();
+  std::vector<std::uint32_t> step_at(ends.size(), 0);  // 0: no insertion
+  for (std::size_t k = 1; k < steps.size(); ++k)
+    step_at[steps[k].pos] = static_cast<std::uint32_t>(k);
+  for (const std::uint32_t k : step_at)
+    if (k != 0) prio[k] = next_prio();
+
+  // The treap of distinct priorities is the Cartesian tree of the keys:
+  // build it left to right on a stack holding the right spine, pulling
+  // each node's aggregates once its subtree is complete (when it leaves
+  // the spine). Ties keep the earlier key on top, as merge() does.
+  std::vector<Node*> spine;
+  for (std::size_t k = 0; k < steps.size(); ++k) {
+    Node* n = pool_.create(steps[k].key, steps[k].value, prio[k], tag_);
+    Node* below = nullptr;
+    while (!spine.empty() && spine.back()->prio < n->prio) {
+      below = spine.back();
+      spine.pop_back();
+      pull(below);
+    }
+    n->l = below;
+    if (!spine.empty()) spine.back()->r = n;
+    spine.push_back(n);
+  }
+  for (auto it = spine.rbegin(); it != spine.rend(); ++it) pull(*it);
+  root_ = spine.front();
+  size_ = steps.size();
 }
 
 StepIndex::StepIndex(const StepIndex& other)
@@ -184,6 +263,19 @@ void StepIndex::split(Node* t, double key, bool keep_equal_left, Node*& a,
     b = t;
     pull(b);
   }
+}
+
+std::vector<StepIndex::NodeLayout> StepIndex::layout() const {
+  std::vector<NodeLayout> out;
+  out.reserve(size_);
+  auto walk = [&out](auto&& self, const Node* n, int acc, int depth) -> void {
+    if (!n) return;
+    self(self, n->l, acc + n->pending, depth + 1);
+    out.push_back({n->key, n->value + acc, n->prio, depth});
+    self(self, n->r, acc + n->pending, depth + 1);
+  };
+  walk(walk, root_, 0, 0);
+  return out;
 }
 
 int StepIndex::value_at(double t) const {
@@ -484,22 +576,6 @@ std::optional<double> StepIndex::latest_fit(int procs, double duration,
   OBS_COUNT("resv.index.subtree_prunes", s.prunes);
   OBS_COUNT("resv.index.subtree_runs", s.feasible_runs);
   return s.done ? s.answer : std::nullopt;
-}
-
-void StepIndex::for_each_segment(
-    double from, double to,
-    const std::function<void(double, double, int)>& fn) const {
-  auto walk = [&](auto&& self, const Node* n, int acc, double bound) -> void {
-    if (!n) return;
-    if (bound <= from) return;      // all segments end at or before `from`
-    if (n->min_key >= to) return;   // all segments start at or after `to`
-    int child_acc = acc + n->pending;
-    self(self, n->l, child_acc, n->key);
-    double self_end = n->r ? n->r->min_key : bound;
-    if (self_end > from && n->key < to) fn(n->key, self_end, n->value + acc);
-    self(self, n->r, child_acc, bound);
-  };
-  walk(walk, root_, 0, kPosInf);
 }
 
 }  // namespace resched::resv

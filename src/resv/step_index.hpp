@@ -41,8 +41,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <limits>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "src/resv/arena.hpp"
 
@@ -62,8 +64,24 @@ struct FirstFree {
 
 class StepIndex {
  public:
+  /// One range_add(start, end, delta) of a bulk build; start < end.
+  struct RangeAdd {
+    double start;
+    double end;
+    int delta;
+  };
+
   /// One segment [-inf, +inf) at `base_value`.
   explicit StepIndex(int base_value);
+
+  /// StepIndex(base_value) followed by range_add() of each of `adds` in
+  /// order, built in one sorted pass: O(R log R) for the sort and O(R)
+  /// for the tree, with no split, merge or lazy tag. The result holds the
+  /// same breakpoints, values, priorities and tree shape as the R
+  /// incremental adds, and leaves the same priority state, so every later
+  /// mutation reshapes it as it would the incremental build (DESIGN.md
+  /// §4.1, "Building a calendar from a list").
+  StepIndex(int base_value, std::span<const RangeAdd> adds);
   StepIndex(const StepIndex& other);
   StepIndex& operator=(const StepIndex& other);
   StepIndex(StepIndex&& other) noexcept;
@@ -117,10 +135,22 @@ class StepIndex {
   /// In-order walk over the segments intersecting [from, to): fn(seg_start,
   /// seg_end, value) with seg_start the breakpoint (unclamped, -inf for the
   /// sentinel) and seg_end the next breakpoint (+inf for the last). Pass
-  /// (-inf, +inf) to walk everything.
-  void for_each_segment(
-      double from, double to,
-      const std::function<void(double, double, int)>& fn) const;
+  /// (-inf, +inf) to walk everything. The visitor is a template parameter,
+  /// so the walk calls it inline rather than through a std::function.
+  template <typename Fn>
+  void for_each_segment(double from, double to, Fn&& fn) const;
+
+  /// The tree as tests compare it: every node in key order with its key,
+  /// value (pending deltas applied) and priority, and its depth.
+  struct NodeLayout {
+    double key;
+    int value;
+    std::uint64_t prio;
+    int depth;
+  };
+  std::vector<NodeLayout> layout() const;
+  /// State of the priority generator the next insertion draws from.
+  std::uint64_t prio_state() const { return prio_state_; }
 
   /// Allocator telemetry: node creations / free-list reuses / chunk counts
   /// for this index's arena (see resv::arena_heap_allocs() for the
@@ -185,6 +215,10 @@ class StepIndex {
 
   std::uint64_t next_prio();
 
+  template <typename Fn>
+  static void walk_segments(const Node* n, int acc, double bound, double from,
+                            double to, Fn& fn);
+
   Arena<Node> pool_;
   Node* root_ = nullptr;
   std::size_t size_ = 0;
@@ -193,5 +227,24 @@ class StepIndex {
   // a tag that recurred could let a view write a node of its base.
   std::uint64_t tag_;
 };
+
+template <typename Fn>
+void StepIndex::walk_segments(const Node* n, int acc, double bound,
+                              double from, double to, Fn& fn) {
+  if (!n) return;
+  if (bound <= from) return;     // all segments end at or before `from`
+  if (n->min_key >= to) return;  // all segments start at or after `to`
+  const int child_acc = acc + n->pending;
+  walk_segments(n->l, child_acc, n->key, from, to, fn);
+  const double self_end = n->r ? n->r->min_key : bound;
+  if (self_end > from && n->key < to) fn(n->key, self_end, n->value + acc);
+  walk_segments(n->r, child_acc, bound, from, to, fn);
+}
+
+template <typename Fn>
+void StepIndex::for_each_segment(double from, double to, Fn&& fn) const {
+  walk_segments(root_, 0, std::numeric_limits<double>::infinity(), from, to,
+                fn);
+}
 
 }  // namespace resched::resv

@@ -14,6 +14,7 @@
 
 #include "src/core/tightest_deadline.hpp"
 #include "src/ft/checkpoint.hpp"
+#include "src/ft/service_access.hpp"
 #include "src/ft/wire.hpp"
 #include "src/obs/obs.hpp"
 #include "src/resv/profile.hpp"
@@ -24,6 +25,9 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr char kSnapshotMagic[4] = {'R', 'S', 'S', 'N'};
+// Version 2 carries the engine's processed-event count; version 1 did not,
+// so a daemon recovered from one reported only the events since.
+constexpr std::uint32_t kSnapshotVersion = 2;
 
 bool file_exists(const std::string& path) {
   std::ifstream probe(path, std::ios::binary);
@@ -158,7 +162,7 @@ void ServerCore::write_snapshot() {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     RESCHED_CHECK(out.good(), "srv: cannot write snapshot: " + tmp);
     put_bytes(out, kSnapshotMagic, sizeof kSnapshotMagic);
-    put_u32(out, 1);  // envelope version
+    put_u32(out, kSnapshotVersion);
     put_u32(out, static_cast<std::uint32_t>(config_.service.capacity));
     put_u32(out, static_cast<std::uint32_t>(config_.shards));
     put_u64(out, next_rid_);
@@ -182,6 +186,9 @@ void ServerCore::write_snapshot() {
     // The full JSONL trace so far: the recovered daemon keeps appending to
     // it, and finalize() writes the seamless whole.
     put_string(out, trace_text_.str());
+    // Status reports the events processed since genesis, whichever way
+    // the daemon recovered; the engine checkpoint does not carry them.
+    put_u64(out, engine_.engine(0).events_processed());
     ft::save_checkpoint(out, engine_.engine(0));
     RESCHED_CHECK(out.good(), "srv: snapshot write failed");
   }
@@ -202,7 +209,8 @@ void ServerCore::load_snapshot(std::istream& in) {
   get_bytes(in, magic, sizeof magic);
   RESCHED_CHECK(std::memcmp(magic, kSnapshotMagic, sizeof magic) == 0,
                 "srv: bad snapshot magic");
-  RESCHED_CHECK(get_u32(in) == 1, "srv: unsupported snapshot version");
+  RESCHED_CHECK(get_u32(in) == kSnapshotVersion,
+                "srv: unsupported snapshot version");
   RESCHED_CHECK(get_u32(in) ==
                     static_cast<std::uint32_t>(config_.service.capacity),
                 "srv: snapshot capacity mismatch");
@@ -233,7 +241,9 @@ void ServerCore::load_snapshot(std::istream& in) {
     jobs_.emplace(client_id, std::move(record));
   }
   trace_text_ << get_string(in);
+  const std::uint64_t events = get_u64(in);
   ft::load_checkpoint(in, engine_.engine(0));
+  ft::ServiceAccess::events_processed(engine_.engine(0)) = events;
 }
 
 // --- engine queries --------------------------------------------------------

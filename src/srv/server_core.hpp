@@ -28,10 +28,10 @@
 // the recovered calendar, registry, and JSONL trace are byte-identical to
 // the pre-crash run. Snapshots (one shard only) bound replay time: the
 // engine's RSFT checkpoint (src/ft/checkpoint.*) is wrapped in an envelope
-// carrying the registry, tallies, accumulated trace text, and the next
-// record id; records the snapshot already covers are skipped by rid on
-// recovery, so a crash between snapshot rename and WAL truncation never
-// double-applies.
+// carrying the registry, tallies, accumulated trace text, the engine's
+// processed-event count, and the next record id; records the snapshot
+// already covers are skipped by rid on recovery, so a crash between
+// snapshot rename and WAL truncation never double-applies.
 //
 // Admission: the daemon runs the engine with
 // AdmissionPolicy::kRejectInfeasible and performs counter-offer

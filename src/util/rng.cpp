@@ -7,6 +7,10 @@
 
 namespace resched::util {
 
+namespace {
+constexpr std::uint64_t kMultiplier = 6364136223846793005ULL;  // PCG32's LCG
+}  // namespace
+
 std::uint64_t derive_seed(std::uint64_t base,
                           std::initializer_list<std::uint64_t> tags) {
   SplitMix64 mixer(base);
@@ -29,10 +33,28 @@ Rng::Rng(std::uint64_t seed) {
 
 std::uint32_t Rng::next_u32() {
   std::uint64_t old = state_;
-  state_ = old * 6364136223846793005ULL + inc_;
+  state_ = old * kMultiplier + inc_;
   auto xorshifted = static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
   auto rot = static_cast<std::uint32_t>(old >> 59u);
   return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+}
+
+void Rng::discard(std::uint64_t n) {
+  // state' = mult * state + plus after n steps, built by squaring: one
+  // step is (A, inc), and 2^k steps compose from 2^(k-1) steps twice.
+  std::uint64_t mult = 1;
+  std::uint64_t plus = 0;
+  std::uint64_t step_mult = kMultiplier;
+  std::uint64_t step_plus = inc_;
+  for (; n > 0; n >>= 1) {
+    if (n & 1u) {
+      mult *= step_mult;
+      plus = plus * step_mult + step_plus;
+    }
+    step_plus = (step_mult + 1) * step_plus;
+    step_mult *= step_mult;
+  }
+  state_ = mult * state_ + plus;
 }
 
 std::uint64_t Rng::next_u64() {

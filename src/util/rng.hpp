@@ -49,6 +49,12 @@ class Rng {
   std::uint32_t next_u32();
   std::uint64_t next_u64();
 
+  /// Advances the stream past `n` next_u32() draws in O(log n): the PCG32
+  /// state is a linear congruential generator, and n steps of it compose
+  /// into one multiply-add (Brown, "Random number generation with
+  /// arbitrary strides", 1994). Equal to n calls of next_u32().
+  void discard(std::uint64_t n);
+
   /// Uniform double in [0, 1).
   double uniform();
   /// Uniform double in [lo, hi).
@@ -61,7 +67,8 @@ class Rng {
   double normal(double mean, double stddev);
   /// Lognormal such that the *underlying normal* has parameters mu, sigma.
   double lognormal(double mu, double sigma);
-  /// True with probability prob (clamped to [0,1]).
+  /// True with probability prob (clamped to [0,1]). Draws one uniform()
+  /// (two next_u32() words) when 0 < prob < 1 and nothing otherwise.
   bool bernoulli(double prob);
 
   /// Samples k distinct indices from [0, n) (k <= n), in random order.

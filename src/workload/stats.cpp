@@ -1,6 +1,7 @@
 #include "src/workload/stats.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/resv/profile.hpp"
 #include "src/util/error.hpp"
@@ -33,6 +34,20 @@ double Log::utilization() const {
   double area = 0.0;
   for (const Job& j : jobs) area += static_cast<double>(j.procs) * j.runtime;
   return area / (static_cast<double>(cpus) * duration);
+}
+
+void Log::index_ends() {
+  max_end.clear();
+  max_end.reserve(jobs.size());
+  double latest = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Job& j = jobs[i];
+    RESCHED_CHECK(i == 0 || jobs[i - 1].submit <= j.submit,
+                  "log jobs must be sorted by submit time");
+    RESCHED_CHECK(j.start >= j.submit, "log job starts before its submit");
+    latest = std::max(latest, j.end());
+    max_end.push_back(latest);
+  }
 }
 
 LogStats compute_log_stats(const Log& log, int num_batches) {

@@ -152,6 +152,7 @@ Log read_swf(std::istream& in, const std::string& name,
   log.duration = max_end;
   std::sort(log.jobs.begin(), log.jobs.end(),
             [](const Job& a, const Job& b) { return a.submit < b.submit; });
+  log.index_ends();
   return log;
 }
 

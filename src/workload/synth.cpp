@@ -123,6 +123,7 @@ Log generate_log(const SyntheticLogSpec& spec, util::Rng& rng) {
     log.jobs.push_back(job);
     t += rng.exponential(mean_interarrival);
   }
+  log.index_ends();
   return log;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "src/util/error.hpp"
@@ -75,6 +76,27 @@ double expo_fraction(double k, double days) {
 
 }  // namespace
 
+JobRange jobs_in_window(const Log& log, double ends_after,
+                        double submitted_by) {
+  const std::size_t n = log.jobs.size();
+  if (log.max_end.size() != n) return {0, n};
+  // max_end is nondecreasing: the jobs before `first` all ended by
+  // ends_after. Jobs are submit-sorted and start no earlier than their
+  // submit, so the jobs from `last` on were all submitted, and start,
+  // after submitted_by.
+  const auto first = static_cast<std::size_t>(
+      std::upper_bound(log.max_end.begin(), log.max_end.end(), ends_after) -
+      log.max_end.begin());
+  const auto submitted_after = [](double t, const Job& job) {
+    return t < job.submit;
+  };
+  const auto last = static_cast<std::size_t>(
+      std::upper_bound(log.jobs.begin(), log.jobs.end(), submitted_by,
+                       submitted_after) -
+      log.jobs.begin());
+  return {first, std::max(first, last)};
+}
+
 const char* to_string(DecayMethod method) {
   switch (method) {
     case DecayMethod::kLinear: return "linear";
@@ -91,9 +113,20 @@ resv::ReservationList make_reservation_schedule(const Log& log, double now,
   RESCHED_CHECK(spec.horizon > 0.0 && spec.history >= 0.0,
                 "tagging windows must be positive");
 
+  // Only jobs in `range` can pass the filters below. Every other job's
+  // coin is jumped over: bernoulli(phi) draws two words when phi < 1 and
+  // none when phi = 1, so the stream reaches reshape() where a coin per
+  // job would have left it.
+  const JobRange range = jobs_in_window(
+      log, now - spec.history,
+      spec.method == DecayMethod::kReal ? now : now + spec.horizon);
+  const std::uint64_t words_per_coin = spec.phi < 1.0 ? 2 : 0;
+  rng.discard(words_per_coin * range.first);
+
   resv::ReservationList past_and_ongoing;
   resv::ReservationList future;
-  for (const Job& job : log.jobs) {
+  for (std::size_t i = range.first; i < range.last; ++i) {
+    const Job& job = log.jobs[i];
     if (!rng.bernoulli(spec.phi)) continue;  // tagging
     if (job.end() <= now - spec.history) continue;
     if (spec.method == DecayMethod::kReal && job.submit > now) continue;
@@ -105,6 +138,7 @@ resv::ReservationList make_reservation_schedule(const Log& log, double now,
     else
       future.push_back(r);
   }
+  rng.discard(words_per_coin * (log.jobs.size() - range.last));
 
   resv::ReservationList out = std::move(past_and_ongoing);
   switch (spec.method) {
@@ -132,8 +166,10 @@ resv::ReservationList make_reservation_schedule(const Log& log, double now,
 
 resv::ReservationList extract_reservations(const Log& log, double now,
                                            double history) {
+  const JobRange range = jobs_in_window(log, now - history, now);
   resv::ReservationList out;
-  for (const Job& job : log.jobs) {
+  for (std::size_t i = range.first; i < range.last; ++i) {
+    const Job& job = log.jobs[i];
     if (job.submit > now) continue;        // not yet known at `now`
     if (job.end() <= now - history) continue;  // too old to matter
     out.push_back(to_reservation(job));

@@ -16,7 +16,15 @@
 //
 // All three keep reservations already running at `now` untouched and drop
 // everything past now + horizon (the paper uses a 7-day horizon).
+//
+// Building a schedule costs O(window), not O(log): only the jobs that can
+// overlap [now - history, now + horizon] are visited (jobs_in_window), and
+// the tagging stream jumps over the coins every other job would have drawn
+// (util::Rng::discard), so the schedule and the stream left behind equal
+// those of a coin per job.
 #pragma once
+
+#include <cstddef>
 
 #include "src/resv/reservation.hpp"
 #include "src/util/rng.hpp"
@@ -34,6 +42,18 @@ struct TaggingSpec {
   double horizon = 7 * 86400.0;  ///< no reservations beyond now + horizon
   double history = 7 * 86400.0;  ///< past window kept for q estimation
 };
+
+/// Indices [first, last) of `log.jobs` a window can hold: every job before
+/// `first` ended by `ends_after`, and every job from `last` on was
+/// submitted after `submitted_by` (first <= last). Two binary searches, on
+/// Log::max_end and on the submit order; a log without max_end gives
+/// [0, jobs.size()).
+struct JobRange {
+  std::size_t first = 0;
+  std::size_t last = 0;
+};
+JobRange jobs_in_window(const Log& log, double ends_after,
+                        double submitted_by);
 
 /// Builds the reservation schedule visible at scheduling time `now`:
 /// reservations overlapping [now - history, now + horizon]. Future

@@ -4,7 +4,9 @@
 // adversarial mutation sequences — sliver durations, exact abutment,
 // overlap stacks, zero-proc no-ops, interleaved release/compact, and
 // grouped commits whose runs are randomly cancelled afterwards (the repair
-// engine's rollback-under-disruption path).
+// engine's rollback-under-disruption path). Each campaign's calendar starts
+// from a list built both ways — in one sorted pass and by adds — and both
+// builds, and views of them, must match the oracle throughout.
 //
 // Unlike the gtest CalendarFuzz suite (tests/fuzz_test.cpp), this driver
 // has an explicit iteration budget so CI can run a bounded smoke pass on
@@ -54,25 +56,129 @@ std::string show(const std::optional<double>& fit) {
   return os.str();
 }
 
+/// Differential probes of one indexed calendar against the oracle: fits
+/// and first-free lookups drawn from `rng`. Returns false, with a
+/// replayable diagnostic, on the first divergence.
+bool probe(const resv::AvailabilityProfile& indexed,
+           const resv::LinearProfile& oracle, int p, util::Rng& rng,
+           const char* which, std::uint64_t seed, int i, int probes) {
+  if (oracle.canonical_steps() != indexed.canonical_steps()) {
+    std::fprintf(stderr,
+                 "DIVERGENCE (steps, %s): seed %llu round %d — canonical "
+                 "step functions differ\n",
+                 which, static_cast<unsigned long long>(seed), i);
+    return false;
+  }
+  for (int probe = 0; probe < probes; ++probe) {
+    int procs = static_cast<int>(rng.uniform_int(1, p));
+    double duration = rng.uniform(1.0, 20.0 * 3600.0);
+    double not_before = rng.uniform(-20.0, 90.0) * 3600.0;
+    double deadline = not_before + rng.uniform(0.0, 40.0) * 3600.0;
+    auto oe = oracle.earliest_fit(procs, duration, not_before);
+    auto ie = indexed.earliest_fit(procs, duration, not_before);
+    if (oe != ie) {
+      std::fprintf(stderr,
+                   "DIVERGENCE (earliest_fit, %s): seed %llu round %d procs "
+                   "%d duration %.17g not_before %.17g — oracle %s, indexed "
+                   "%s\n",
+                   which, static_cast<unsigned long long>(seed), i, procs,
+                   duration, not_before, show(oe).c_str(), show(ie).c_str());
+      return false;
+    }
+    // First-free lookups at the probe's count and at p + 1, which no
+    // segment reaches: from not_before, and just before, on and just
+    // after a breakpoint picked without a draw.
+    const std::vector<double> keys = oracle.breakpoints();
+    std::vector<double> times{not_before};
+    if (!keys.empty()) {
+      const double key = keys[static_cast<std::size_t>(i + probe) %
+                              keys.size()];
+      times.insert(times.end(), {std::nextafter(key, -kInf), key,
+                                 std::nextafter(key, kInf)});
+    }
+    for (int count : {procs, p + 1})
+      for (double t : times) {
+        const resv::FirstFree of = oracle.first_free(count, t);
+        const resv::FirstFree ff = indexed.first_free(count, t);
+        if (of != ff) {
+          std::fprintf(stderr,
+                       "DIVERGENCE (first_free, %s): seed %llu round %d "
+                       "procs %d t %.17g — oracle at %.17g peak %d, indexed "
+                       "at %.17g peak %d\n",
+                       which, static_cast<unsigned long long>(seed), i, count,
+                       t, of.at, of.peak_before, ff.at, ff.peak_before);
+          return false;
+        }
+      }
+    auto ol = oracle.latest_fit(procs, duration, deadline, not_before);
+    auto il = indexed.latest_fit(procs, duration, deadline, not_before);
+    if (ol != il) {
+      std::fprintf(stderr,
+                   "DIVERGENCE (latest_fit, %s): seed %llu round %d procs %d "
+                   "duration %.17g deadline %.17g not_before %.17g — oracle "
+                   "%s, indexed %s\n",
+                   which, static_cast<unsigned long long>(seed), i, procs,
+                   duration, deadline, not_before, show(ol).c_str(),
+                   show(il).c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A random reservation of the campaign's adversarial shapes: sliver
+/// durations and zero-proc no-ops included.
+resv::Reservation random_reservation(util::Rng& rng, int p) {
+  double start = rng.uniform(-10.0, 80.0) * 3600.0;
+  double dur = rng.bernoulli(0.25) ? rng.uniform(1e-9, 1e-3)  // sliver
+                                   : rng.uniform(0.2, 12.0) * 3600.0;
+  return {start, start + dur,
+          static_cast<int>(rng.uniform_int(0, p + p / 2 + 1))};
+}
+
 /// One mutation-and-check campaign; returns false on first divergence.
+/// The calendar starts from a list of reservations (abutting and
+/// endpoint-sharing ones included), built into one profile in one sorted
+/// pass and into another by adds; every mutation then goes to both, and
+/// both must match the oracle throughout, as must a view of each.
 bool run_campaign(std::uint64_t seed, const Budget& budget) {
   util::Rng rng(util::derive_seed(0xCA1F, {seed}));
 
   const int p = static_cast<int>(rng.uniform_int(1, 48));
-  resv::AvailabilityProfile indexed(p);
+  resv::ReservationList initial;
+  const int listed_count = static_cast<int>(rng.uniform_int(0, 60));
+  for (int k = 0; k < listed_count; ++k) {
+    resv::Reservation r = random_reservation(rng, p);
+    if (!initial.empty() && rng.bernoulli(0.3)) {  // share or abut an end
+      const resv::Reservation& other = initial[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(initial.size()) - 1))];
+      const double dur = r.duration();
+      r.start = rng.bernoulli(0.5) ? other.start : other.end;
+      r.end = r.start + dur;
+    }
+    initial.push_back(r);
+  }
+  resv::AvailabilityProfile indexed(p, initial);
+  resv::AvailabilityProfile added(p);
   resv::LinearProfile oracle(p);
-  std::vector<resv::Reservation> live;
+  for (const resv::Reservation& r : initial) {
+    added.add(r);
+    oracle.add(r);
+  }
+  std::vector<resv::Reservation> live = initial;
   /// Groups committed through the token API; their members are cancelled
   /// only as a whole (rollback) or dropped by compaction — mirroring how
   /// an admission's reservations live and die together.
   struct Group {
     resv::AvailabilityProfile::CommitToken token;
+    resv::AvailabilityProfile::CommitToken added_token;
     resv::ReservationList members;
   };
   std::vector<Group> groups;
 
   auto apply = [&](const resv::Reservation& r) {
     indexed.add(r);
+    added.add(r);
     oracle.add(r);
     live.push_back(r);
   };
@@ -92,6 +198,7 @@ bool run_campaign(std::uint64_t seed, const Budget& budget) {
       }
       Group g;
       g.token = indexed.commit(members);
+      g.added_token = added.commit(members);
       for (const resv::Reservation& r : members) oracle.add(r);
       g.members = std::move(members);
       groups.push_back(std::move(g));
@@ -100,30 +207,30 @@ bool run_campaign(std::uint64_t seed, const Budget& budget) {
       std::size_t pick = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(groups.size()) - 1));
       indexed.rollback(groups[pick].token);
+      added.rollback(groups[pick].added_token);
       for (const resv::Reservation& r : groups[pick].members)
         oracle.release(r);
       groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(pick));
     } else if (dice < 0.55 || live.empty()) {
-      double start = rng.uniform(-10.0, 80.0) * 3600.0;
-      double dur = rng.bernoulli(0.25) ? rng.uniform(1e-9, 1e-3)  // sliver
-                                       : rng.uniform(0.2, 12.0) * 3600.0;
-      int procs = static_cast<int>(rng.uniform_int(0, p + p / 2 + 1));
-      apply({start, start + dur, procs});
+      const resv::Reservation r = random_reservation(rng, p);
+      apply(r);
       if (rng.bernoulli(0.4))  // abut exactly at the previous end
-        apply({start + dur, start + dur + rng.uniform(0.2, 6.0) * 3600.0,
+        apply({r.end, r.end + rng.uniform(0.2, 6.0) * 3600.0,
                static_cast<int>(rng.uniform_int(0, p))});
       if (rng.bernoulli(0.3))  // overlap stack straddling the window
-        apply({start - 1800.0, start + dur / 2,
+        apply({r.start - 1800.0, r.start + r.duration() / 2,
                static_cast<int>(rng.uniform_int(1, p))});
     } else if (dice < 0.8) {
       std::size_t pick = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
       indexed.release(live[pick]);
+      added.release(live[pick]);
       oracle.release(live[pick]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
     } else {
       double horizon = rng.uniform(-12.0, 40.0) * 3600.0;
       indexed.compact(horizon);
+      added.compact(horizon);
       oracle.compact(horizon);
       std::erase_if(live, [&](const resv::Reservation& r) {
         return r.start < horizon;
@@ -138,67 +245,32 @@ bool run_campaign(std::uint64_t seed, const Budget& budget) {
       });
     }
 
-    if (oracle.canonical_steps() != indexed.canonical_steps()) {
-      std::fprintf(stderr,
-                   "DIVERGENCE (steps): seed %llu round %d — canonical step "
-                   "functions differ\n",
-                   static_cast<unsigned long long>(seed), i);
+    // Both builds answer the same probes: each draws them from its own
+    // copy of the campaign stream, which then moves on as one draw did.
+    util::Rng added_rng = rng;
+    if (!probe(indexed, oracle, p, rng, "list-built", seed, i, budget.probes))
       return false;
-    }
-    for (int probe = 0; probe < budget.probes; ++probe) {
-      int procs = static_cast<int>(rng.uniform_int(1, p));
-      double duration = rng.uniform(1.0, 20.0 * 3600.0);
-      double not_before = rng.uniform(-20.0, 90.0) * 3600.0;
-      double deadline = not_before + rng.uniform(0.0, 40.0) * 3600.0;
-      auto oe = oracle.earliest_fit(procs, duration, not_before);
-      auto ie = indexed.earliest_fit(procs, duration, not_before);
-      if (oe != ie) {
-        std::fprintf(stderr,
-                     "DIVERGENCE (earliest_fit): seed %llu round %d procs %d "
-                     "duration %.17g not_before %.17g — oracle %s, indexed "
-                     "%s\n",
-                     static_cast<unsigned long long>(seed), i, procs, duration,
-                     not_before, show(oe).c_str(), show(ie).c_str());
-        return false;
-      }
-      // First-free lookups at the probe's count and at p + 1, which no
-      // segment reaches: from not_before, and just before, on and just
-      // after a breakpoint picked without a draw, so the campaign's
-      // mutations stay those of the fits-only fuzzer.
-      const std::vector<double> keys = oracle.breakpoints();
-      std::vector<double> times{not_before};
-      if (!keys.empty()) {
-        const double key = keys[static_cast<std::size_t>(i + probe) %
-                                keys.size()];
-        times.insert(times.end(), {std::nextafter(key, -kInf), key,
-                                   std::nextafter(key, kInf)});
-      }
-      for (int count : {procs, p + 1})
-        for (double t : times) {
-          const resv::FirstFree of = oracle.first_free(count, t);
-          const resv::FirstFree ff = indexed.first_free(count, t);
-          if (of != ff) {
-            std::fprintf(stderr,
-                         "DIVERGENCE (first_free): seed %llu round %d procs "
-                         "%d t %.17g — oracle at %.17g peak %d, indexed at "
-                         "%.17g peak %d\n",
-                         static_cast<unsigned long long>(seed), i, count, t,
-                         of.at, of.peak_before, ff.at, ff.peak_before);
-            return false;
-          }
-        }
-      auto ol = oracle.latest_fit(procs, duration, deadline, not_before);
-      auto il = indexed.latest_fit(procs, duration, deadline, not_before);
-      if (ol != il) {
-        std::fprintf(stderr,
-                     "DIVERGENCE (latest_fit): seed %llu round %d procs %d "
-                     "duration %.17g deadline %.17g not_before %.17g — "
-                     "oracle %s, indexed %s\n",
-                     static_cast<unsigned long long>(seed), i, procs, duration,
-                     deadline, not_before, show(ol).c_str(), show(il).c_str());
-        return false;
-      }
-    }
+    if (!probe(added, oracle, p, added_rng, "add-built", seed, i,
+               budget.probes))
+      return false;
+
+    // A view of each build, written once more, answers as the oracle
+    // would given the same write.
+    const resv::Reservation extra = random_reservation(rng, p);
+    resv::AvailabilityProfile indexed_view = indexed.view();
+    resv::AvailabilityProfile added_view = added.view();
+    indexed_view.add(extra);
+    added_view.add(extra);
+    resv::LinearProfile oracle_after = oracle;
+    oracle_after.add(extra);
+    util::Rng view_rng = rng;
+    if (!probe(indexed_view, oracle_after, p, view_rng, "list-built view",
+               seed, i, 1))
+      return false;
+    view_rng = rng;
+    if (!probe(added_view, oracle_after, p, view_rng, "add-built view", seed,
+               i, 1))
+      return false;
   }
   return true;
 }

@@ -11,6 +11,11 @@
 // scheduled by the four RESSCHED bounding methods of Table 4 and by the
 // dynamic-calendar variant (src/core/dynamic.hpp), which places tasks with
 // the same earliest-completion loop.
+//
+// The instances themselves: every sweep cell of seeds 1 and 2 and four
+// Grid'5000 instances, each as its scheduling instant, historical
+// availability and calendar (sim::make_instance: a φ-tagged batch log, or
+// the reservation log's own jobs, built into a profile).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,14 +40,17 @@ using namespace resched;
 constexpr int kPlatforms = 4;
 constexpr int kGridPerPlatform = 9;
 constexpr std::uint64_t kSeed = 1;
-// The pinned subset: every kStride-th cell, which keeps the test within a
-// few seconds under ASan while covering every platform and most specs.
+// The pinned schedules' subset: every kStride-th cell, which keeps the test
+// within a few seconds under ASan while covering every platform and most
+// specs.
 constexpr std::size_t kStride = 3;
 
-std::vector<sim::Instance> sweep_cells() {
+/// Every `stride`-th of perfbench's sweep cells for `seed`.
+std::vector<sim::Instance> sweep_cells(std::uint64_t seed = kSeed,
+                                       std::size_t stride = kStride) {
   const std::vector<sim::ScenarioSpec> grid = sim::synthetic_grid();
   const auto apps = grid.size() / (kPlatforms * kGridPerPlatform);
-  util::Rng rng(util::derive_seed(kSeed, {0x5EE9}));
+  util::Rng rng(util::derive_seed(seed, {0x5EE9}));
   std::vector<sim::Instance> cells;
   std::size_t drawn = 0;
   for (std::size_t a = 0; a < apps; ++a)
@@ -55,11 +63,23 @@ std::vector<sim::Instance> sweep_cells() {
                k];
       const auto dag_idx = static_cast<int>(rng.uniform_int(0, 19));
       const auto resv_idx = static_cast<int>(rng.uniform_int(0, 49));
-      if (drawn++ % kStride == 0)
-        cells.push_back(
-            sim::make_instance(scenario, dag_idx, resv_idx, kSeed));
+      if (drawn++ % stride == 0)
+        cells.push_back(sim::make_instance(scenario, dag_idx, resv_idx, seed));
     }
   return cells;
+}
+
+/// Appends an instance's scheduling instant and historical availability,
+/// then one line per canonical calendar step, the doubles as exact
+/// hexfloats, to `out`.
+void append_instance(const sim::Instance& inst, std::string& out) {
+  char line[96];
+  std::snprintf(line, sizeof line, "now %a q %d\n", inst.now, inst.q_hist);
+  out += line;
+  for (const auto& [t, value] : inst.profile.canonical_steps()) {
+    std::snprintf(line, sizeof line, "%a %d\n", t, value);
+    out += line;
+  }
 }
 
 /// Appends one line per task — procs, start and finish, the doubles as
@@ -199,4 +219,27 @@ TEST(SweepPin, Table4CalendarWorkPerCell) {
   }
   EXPECT_TRUE(same) << "per-cell work (rows marked /**/ moved):\n" << table;
 #endif
+}
+
+// The instances every experiment starts from: perfbench's 160 sweep cells
+// for seeds 1 and 2 and four Grid'5000 instances, each as its `now`,
+// `q_hist` and canonical calendar steps. A change to how a batch log is
+// φ-tagged and reshaped, or to how a reservation list becomes a calendar,
+// fails here before it reaches a schedule.
+TEST(InstancePin, SweepCellsAreByteIdentical) {
+  std::string bytes;
+  std::size_t cells = 0;
+  for (const std::uint64_t seed : {1, 2})
+    for (const sim::Instance& inst : sweep_cells(seed, 1)) {
+      append_instance(inst, bytes);
+      ++cells;
+    }
+  EXPECT_EQ(cells, 320u);
+  const std::vector<sim::ScenarioSpec> g5k = sim::grid5000_scenarios();
+  for (int i = 0; i < 4; ++i)
+    append_instance(
+        sim::make_instance(g5k[static_cast<std::size_t>(13 * i)], i,
+                           11 * i + 3, kSeed),
+        bytes);
+  EXPECT_EQ(fnv::fnv1a(bytes), 0x2f87641478f46550ull) << bytes.size() << " bytes";
 }

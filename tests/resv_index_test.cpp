@@ -10,6 +10,11 @@
 // release, a commit with its rollback) while the failure reproduces, then
 // reports the minimal sequence.
 //
+// Calendars built from a list (the one-pass sorted build behind
+// AvailabilityProfile(capacity, reservations)) must hold the tree the same
+// list's adds would build, node for node, and go on answering as that
+// build and the oracle do through later mutations and views.
+//
 // Copy-on-write views (AvailabilityProfile::view()) get the same treatment:
 // every view must answer exactly as a deep copy given the same ops, and as
 // the oracle does, without ever writing the calendar it was taken from —
@@ -17,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <latch>
 #include <limits>
@@ -30,6 +36,7 @@
 #include "src/core/ressched.hpp"
 #include "src/core/resscheddl.hpp"
 #include "src/dag/daggen.hpp"
+#include "src/obs/obs.hpp"
 #include "src/resv/linear_profile.hpp"
 #include "src/resv/profile.hpp"
 #include "src/resv/step_index.hpp"
@@ -98,12 +105,17 @@ Reservation random_reservation(util::Rng& rng, int capacity) {
 /// Generates a seeded op sequence. Releases and rollbacks target live
 /// reservations/tokens; compact invalidates anything starting before its
 /// horizon (mirroring how the online engine ages out old calendar state).
-std::vector<Op> generate_ops(std::uint64_t seed, int length, int capacity) {
+/// Reservations of `initial` (the list a calendar was built from) are live
+/// from the start, so releases may target them too.
+std::vector<Op> generate_ops(std::uint64_t seed, int length, int capacity,
+                             std::span<const Reservation> initial = {}) {
   util::Rng rng(util::derive_seed(0x1D10, {seed}));
   std::vector<Op> ops;
   std::vector<Op> live_adds;      // adds not yet released
   std::vector<Op> live_commits;   // commits not yet rolled back
   int next_id = 0;
+  for (const Reservation& r : initial)
+    live_adds.push_back({Op::kAdd, next_id++, r, {}, 0.0});
   for (int i = 0; i < length; ++i) {
     double dice = rng.uniform(0.0, 1.0);
     if (dice < 0.45 || (live_adds.empty() && live_commits.empty())) {
@@ -236,66 +248,142 @@ std::optional<std::string> compare_profiles(const AvailabilityProfile& indexed,
                           lookup_battery(indexed, procs_choices, rng));
 }
 
-/// Replays `ops` against both implementations, differentially checking
-/// after every mutation. Returns a diagnostic on failure.
+using Tokens = std::vector<std::pair<int, AvailabilityProfile::CommitToken>>;
+
+void apply_op(LinearProfile& oracle, const Op& op) {
+  switch (op.kind) {
+    case Op::kAdd: oracle.add(op.r); break;
+    case Op::kRelease: oracle.release(op.r); break;
+    case Op::kCommit:
+      for (const Reservation& r : op.group) oracle.add(r);
+      break;
+    case Op::kRollback:
+      for (auto r = op.group.rbegin(); r != op.group.rend(); ++r)
+        oracle.release(*r);
+      break;
+    case Op::kCompact: oracle.compact(op.horizon); break;
+  }
+}
+
+/// The list a differential sequence's calendar starts from: random
+/// reservations, zero-proc ones included, a third of them sharing or
+/// touching an endpoint of an earlier one.
+std::vector<Reservation> initial_list(std::uint64_t seed, int capacity) {
+  util::Rng rng(util::derive_seed(0x1157, {seed}));
+  std::vector<Reservation> list;
+  const auto n = static_cast<int>(rng.uniform_int(0, 40));
+  for (int i = 0; i < n; ++i) {
+    Reservation r = random_reservation(rng, capacity);
+    if (!list.empty() && rng.uniform(0.0, 1.0) < 0.3) {
+      const Reservation& other = list[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(list.size()) - 1))];
+      const double duration = r.duration();
+      r.start = rng.uniform(0.0, 1.0) < 0.5 ? other.start : other.end;
+      r.end = r.start + duration;
+    }
+    list.push_back(r);
+  }
+  return list;
+}
+
+/// Applies `op` to one profile of a differential sequence. A rollback
+/// whose commit the shrinker removed is skipped (returns false); a compact
+/// forgets the tokens whose groups it invalidated.
+bool apply_sequence_op(AvailabilityProfile& profile, const Op& op,
+                       Tokens& tokens, const std::vector<Op>& ops) {
+  switch (op.kind) {
+    case Op::kAdd: profile.add(op.r); break;
+    case Op::kRelease: profile.release(op.r); break;
+    case Op::kCommit:
+      tokens.emplace_back(op.id, profile.commit(op.group));
+      break;
+    case Op::kRollback: {
+      auto it = std::find_if(tokens.begin(), tokens.end(),
+                             [&](const auto& t) { return t.first == op.id; });
+      if (it == tokens.end()) return false;  // shrinking removed the commit
+      profile.rollback(it->second);
+      tokens.erase(it);
+      break;
+    }
+    case Op::kCompact:
+      profile.compact(op.horizon);
+      // Tokens referencing pre-horizon state were invalidated by the
+      // generator; forget them so rollback never touches them.
+      std::erase_if(tokens, [&](const auto& t) {
+        auto commit = std::find_if(ops.begin(), ops.end(), [&](const Op& o) {
+          return o.kind == Op::kCommit && o.id == t.first;
+        });
+        for (const Reservation& r : commit->group)
+          if (r.start < op.horizon) return true;
+        return false;
+      });
+      break;
+  }
+  return true;
+}
+
+/// Builds the calendar from `initial` in one sorted pass and by adds, then
+/// replays `ops` against both builds and the oracle, differentially
+/// checking after every mutation both builds, and a view of each written
+/// once more. Returns a diagnostic on failure.
 std::optional<std::string> run_sequence(std::uint64_t seed,
                                         const std::vector<Op>& ops,
-                                        int capacity) {
-  AvailabilityProfile indexed(capacity);
+                                        int capacity,
+                                        std::span<const Reservation> initial) {
+  AvailabilityProfile listed(capacity, initial);
+  AvailabilityProfile added(capacity);
   LinearProfile oracle(capacity);
-  std::vector<std::pair<int, AvailabilityProfile::CommitToken>> tokens;
+  for (const Reservation& r : initial) {
+    added.add(r);
+    oracle.add(r);
+  }
+  Tokens listed_tokens, added_tokens;
+
+  // Both builds get the same queries: each compare draws them afresh.
+  auto compare_builds = [&](const AvailabilityProfile& a,
+                            const AvailabilityProfile& b,
+                            const LinearProfile& want,
+                            std::uint64_t query_seed)
+      -> std::optional<std::string> {
+    util::Rng rng_a(query_seed), rng_b(query_seed);
+    if (auto failure = compare_profiles(a, want, rng_a))
+      return "list-built: " + *failure;
+    if (auto failure = compare_profiles(b, want, rng_b))
+      return "add-built: " + *failure;
+    if (a.reservation_count() != b.reservation_count())
+      return std::string("reservation counts diverged");
+    return std::nullopt;
+  };
+  if (auto failure = compare_builds(listed, added, oracle,
+                                    util::derive_seed(0x9E10, {seed})))
+    return "after the build from " + std::to_string(initial.size()) +
+           " reservations: " + *failure;
 
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Op& op = ops[i];
-    switch (op.kind) {
-      case Op::kAdd:
-        indexed.add(op.r);
-        oracle.add(op.r);
-        break;
-      case Op::kRelease:
-        indexed.release(op.r);
-        oracle.release(op.r);
-        break;
-      case Op::kCommit:
-        tokens.emplace_back(op.id, indexed.commit(op.group));
-        for (const Reservation& r : op.group) oracle.add(r);
-        break;
-      case Op::kRollback: {
-        auto it = std::find_if(tokens.begin(), tokens.end(),
-                               [&](const auto& t) { return t.first == op.id; });
-        if (it == tokens.end()) break;  // shrinking removed the commit
-        indexed.rollback(it->second);
-        for (auto r = op.group.rbegin(); r != op.group.rend(); ++r)
-          oracle.release(*r);
-        tokens.erase(it);
-        break;
-      }
-      case Op::kCompact:
-        indexed.compact(op.horizon);
-        oracle.compact(op.horizon);
-        // Tokens referencing pre-horizon state were invalidated by the
-        // generator; forget them so rollback never touches them.
-        tokens.erase(
-            std::remove_if(tokens.begin(), tokens.end(),
-                           [&](const auto& t) {
-                             auto commit = std::find_if(
-                                 ops.begin(), ops.end(), [&](const Op& o) {
-                                   return o.kind == Op::kCommit &&
-                                          o.id == t.first;
-                                 });
-                             for (const Reservation& r : commit->group)
-                               if (r.start < op.horizon) return true;
-                             return false;
-                           }),
-            tokens.end());
-        break;
-    }
-    util::Rng query_rng(util::derive_seed(0x9E11, {seed, i}));
-    if (auto failure = compare_profiles(indexed, oracle, query_rng)) {
-      std::ostringstream out;
-      out << "after op " << i << " [" << describe(op) << "]: " << *failure;
-      return out.str();
-    }
+    const bool applied = apply_sequence_op(listed, op, listed_tokens, ops);
+    apply_sequence_op(added, op, added_tokens, ops);
+    if (applied) apply_op(oracle, op);
+
+    std::ostringstream where;
+    where << "after op " << i << " [" << describe(op) << "] on a calendar "
+          << "built from " << initial.size() << " reservations: ";
+    if (auto failure = compare_builds(listed, added, oracle,
+                                      util::derive_seed(0x9E11, {seed, i})))
+      return where.str() + *failure;
+
+    util::Rng extra_rng(util::derive_seed(0xE7A, {seed, i}));
+    const Reservation extra = random_reservation(extra_rng, capacity);
+    AvailabilityProfile listed_view = listed.view();
+    AvailabilityProfile added_view = added.view();
+    listed_view.add(extra);
+    added_view.add(extra);
+    LinearProfile oracle_after = oracle;
+    oracle_after.add(extra);
+    if (auto failure =
+            compare_builds(listed_view, added_view, oracle_after,
+                           util::derive_seed(0x9E14, {seed, i})))
+      return where.str() + "views written once more: " + *failure;
   }
   return std::nullopt;
 }
@@ -348,18 +436,17 @@ class IndexDifferential : public ::testing::TestWithParam<int> {};
 TEST_P(IndexDifferential, RandomMutationAndQuerySequencesMatchOracle) {
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
   const int capacity = 1 + static_cast<int>(seed % 96);
+  const std::vector<Reservation> initial = initial_list(seed, capacity);
   expect_sequence_passes(
-      seed, capacity, generate_ops(seed, 60, capacity),
+      seed, capacity, generate_ops(seed, 60, capacity, initial),
       [&](const std::vector<Op>& ops) {
-        return run_sequence(seed, ops, capacity);
+        return run_sequence(seed, ops, capacity, initial);
       });
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexDifferential, ::testing::Range(0, 25));
 
 // --- Copy-on-write views -----------------------------------------------------
-
-using Tokens = std::vector<std::pair<int, AvailabilityProfile::CommitToken>>;
 
 /// Applies one op. A rollback uses this profile's token when it issued the
 /// commit, and otherwise releases the group in reverse (the commit was made
@@ -384,21 +471,6 @@ void apply_op(AvailabilityProfile& profile, const Op& op, Tokens& tokens) {
       break;
     }
     case Op::kCompact: profile.compact(op.horizon); break;
-  }
-}
-
-void apply_op(LinearProfile& oracle, const Op& op) {
-  switch (op.kind) {
-    case Op::kAdd: oracle.add(op.r); break;
-    case Op::kRelease: oracle.release(op.r); break;
-    case Op::kCommit:
-      for (const Reservation& r : op.group) oracle.add(r);
-      break;
-    case Op::kRollback:
-      for (auto r = op.group.rbegin(); r != op.group.rend(); ++r)
-        oracle.release(*r);
-      break;
-    case Op::kCompact: oracle.compact(op.horizon); break;
   }
 }
 
@@ -639,6 +711,188 @@ TEST(ResvView, ConcurrentPassesOnOneSharedCalendarMatchOneThread) {
     }
   }
   EXPECT_EQ(calendar.breakpoints(), before);
+}
+
+// --- Building from a list ----------------------------------------------------
+
+using resv::StepIndex;
+
+/// Where two indexes' trees first differ — size, priority state, or a
+/// node's key bits, value, priority or depth — or nullopt when equal.
+std::optional<std::string> tree_divergence(const StepIndex& got,
+                                           const StepIndex& want) {
+  if (got.size() != want.size())
+    return "sizes " + std::to_string(got.size()) + " vs " +
+           std::to_string(want.size());
+  if (got.prio_state() != want.prio_state())
+    return std::string("priority states differ");
+  const std::vector<StepIndex::NodeLayout> a = got.layout();
+  const std::vector<StepIndex::NodeLayout> b = want.layout();
+  if (a.size() != got.size()) return std::string("layout misses nodes");
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a[i].key) !=
+            std::bit_cast<std::uint64_t>(b[i].key) ||
+        a[i].value != b[i].value || a[i].prio != b[i].prio ||
+        a[i].depth != b[i].depth) {
+      std::ostringstream out;
+      out.precision(17);
+      out << "node " << i << ": key " << a[i].key << " value " << a[i].value
+          << " depth " << a[i].depth << " vs key " << b[i].key << " value "
+          << b[i].value << " depth " << b[i].depth;
+      return out.str();
+    }
+  return std::nullopt;
+}
+
+/// A random endpoint: mostly hour-scale instants, some reused from
+/// `used` (shared endpoints, touching ranges) and some 0.0 or -0.0 (equal
+/// keys with different bits).
+double random_endpoint(util::Rng& rng, const std::vector<double>& used) {
+  const double dice = rng.uniform(0.0, 1.0);
+  if (!used.empty() && dice < 0.35)
+    return used[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(used.size()) - 1))];
+  if (dice < 0.45) return rng.uniform(0.0, 1.0) < 0.5 ? -0.0 : 0.0;
+  return std::round(rng.uniform(-50.0, 200.0)) * 3600.0 +
+         (rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : rng.uniform(0.0, 3600.0));
+}
+
+/// A random range_add: zero deltas (keys without a step), -inf starts
+/// (folded into the sentinel) and +inf ends included.
+StepIndex::RangeAdd random_range_add(util::Rng& rng,
+                                     std::vector<double>& used) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double start = rng.uniform(0.0, 1.0) < 0.05 ? -kInf
+                                               : random_endpoint(rng, used);
+  double end = rng.uniform(0.0, 1.0) < 0.05 ? kInf : random_endpoint(rng, used);
+  if (!(start < end)) {
+    if (end < start) std::swap(start, end);
+    if (!(start < end)) end = start + 3600.0;
+  }
+  for (const double t : {start, end})
+    if (std::isfinite(t)) used.push_back(t);
+  return {start, end, static_cast<int>(rng.uniform_int(-6, 6))};
+}
+
+class IndexListBuild : public ::testing::TestWithParam<int> {};
+
+// The sorted build holds the tree the list's adds would build — same keys
+// to the bit, values, priorities and depths, same priority state — and
+// both go on matching node for node through a scripted mix of adds,
+// coalesces, compactions and writes on views.
+TEST_P(IndexListBuild, HoldsTheTreeTheAddsBuildThroughLaterMutations) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  util::Rng rng(util::derive_seed(0x50A7, {seed}));
+  const int base_value = static_cast<int>(rng.uniform_int(1, 64));
+  std::vector<double> used;
+  std::vector<StepIndex::RangeAdd> adds;
+  const auto n = static_cast<int>(rng.uniform_int(0, 12 * (1 + GetParam())));
+  for (int i = 0; i < n; ++i) adds.push_back(random_range_add(rng, used));
+
+  StepIndex listed(base_value, adds);
+  StepIndex added(base_value);
+  for (const StepIndex::RangeAdd& a : adds)
+    added.range_add(a.start, a.end, a.delta);
+  ASSERT_EQ(tree_divergence(listed, added), std::nullopt)
+      << "after building " << n << " adds";
+  EXPECT_EQ(listed.pool_stats().created, added.pool_stats().created);
+
+  for (int step = 0; step < 40; ++step) {
+    const double dice = rng.uniform(0.0, 1.0);
+    std::string what;
+    if (dice < 0.4) {
+      const StepIndex::RangeAdd a = random_range_add(rng, used);
+      listed.range_add(a.start, a.end, a.delta);
+      added.range_add(a.start, a.end, a.delta);
+      what = "range_add";
+    } else if (dice < 0.6) {
+      const double t = random_endpoint(rng, used);
+      listed.coalesce_at(t);
+      added.coalesce_at(t);
+      what = "coalesce_at";
+    } else if (dice < 0.7) {
+      const double horizon = random_endpoint(rng, used);
+      listed.compact(horizon);
+      added.compact(horizon);
+      what = "compact";
+    } else {
+      StepIndex listed_view = listed.view();
+      StepIndex added_view = added.view();
+      for (int k = 0; k < 3; ++k) {
+        const StepIndex::RangeAdd a = random_range_add(rng, used);
+        listed_view.range_add(a.start, a.end, a.delta);
+        added_view.range_add(a.start, a.end, a.delta);
+      }
+      ASSERT_EQ(tree_divergence(listed_view, added_view), std::nullopt)
+          << "views, step " << step;
+      what = "view";
+    }
+    ASSERT_EQ(tree_divergence(listed, added), std::nullopt)
+        << what << ", step " << step;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IndexListBuild, ::testing::Range(0, 16));
+
+// The list build costs no treap rebalance: it never splits or merges.
+TEST(IndexListBuild, BuildsWithoutOneRebalance) {
+#ifdef RESCHED_OBS_DISABLED
+  GTEST_SKIP() << "metrics are compiled out";
+#else
+  util::Rng rng(0xB11D);
+  std::vector<Reservation> list;
+  for (int i = 0; i < 500; ++i) list.push_back(random_reservation(rng, 32));
+  auto rebalances = [] {
+    for (const obs::CounterSample& c : obs::registry().snapshot().counters)
+      if (c.name == std::string("resv.index.treap_rebalances")) return c.value;
+    return std::uint64_t{0};
+  };
+  obs::set_metrics_enabled(true);
+  obs::registry().reset();
+  const AvailabilityProfile listed(32, list);
+  const std::uint64_t listed_rebalances = rebalances();
+  AvailabilityProfile added(32);
+  for (const Reservation& r : list) added.add(r);
+  const std::uint64_t added_rebalances = rebalances();
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(listed_rebalances, 0u);
+  EXPECT_GT(added_rebalances, 0u);  // the counter does count inserts
+  EXPECT_EQ(listed.canonical_steps(), added.canonical_steps());
+  EXPECT_EQ(listed.reservation_count(), added.reservation_count());
+#endif
+}
+
+// A malformed reservation fails the list build with the error add() gives
+// for it, whatever follows; a bad capacity is reported first.
+TEST(IndexListBuild, ThrowsWhatTheFirstMalformedAddThrows) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<Reservation>> lists = {
+      {{0.0, 10.0, 2}, {5.0, 15.0, -1}, {20.0, 20.0, 1}},
+      {{0.0, 10.0, 2}, {20.0, 20.0, 1}, {5.0, 15.0, -1}},
+      {{30.0, 20.0, 0}},  // zero procs still needs a positive duration
+      {{0.0, 10.0, 0}, {nan, 15.0, 1}},
+      {{0.0, 10.0, 1}, {5.0, nan, 1}},
+  };
+  auto what_of = [](auto&& build) -> std::string {
+    try {
+      build();
+    } catch (const resched::Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  for (int capacity : {8, 0}) {
+    for (std::size_t i = 0; i < lists.size(); ++i) {
+      const std::string listed =
+          what_of([&] { AvailabilityProfile p(capacity, lists[i]); });
+      const std::string added = what_of([&] {
+        AvailabilityProfile p(capacity);
+        for (const Reservation& r : lists[i]) p.add(r);
+      });
+      EXPECT_NE(listed, "no error") << "list " << i;
+      EXPECT_EQ(listed, added) << "list " << i << " capacity " << capacity;
+    }
+  }
 }
 
 // --- Directed edge cases ---------------------------------------------------

@@ -497,12 +497,16 @@ TEST(SrvPin, ResponsesWalTraceAndCalendarAtOneAndTwoShards) {
 
 // A daemon recovered from a snapshot with an empty WAL tail runs on the
 // restored engine clock: status reports it, and a submit stamped before
-// it is clamped up to it rather than refused in the engine's past.
+// it is clamped up to it rather than refused in the engine's past. Its
+// status also reports the events the live daemon processed, which the
+// snapshot carries (the recovered status response is part of the pinned
+// stream).
 TEST(SrvPin, SnapshotRecoveryRunsOnTheRestoredClock) {
   const std::string dir = make_temp_dir();
   const ServerCoreConfig config = daemon_config(dir, 1, 3);
   std::string responses;
   double live_now = 0.0;
+  std::uint64_t live_events = 0;
   {
     ServerCore core(config);
     core.recover();
@@ -512,6 +516,7 @@ TEST(SrvPin, SnapshotRecoveryRunsOnTheRestoredClock) {
       apply_script(core, {best_effort_submit(job, 30000.0, 600.0)},
                    responses);
     live_now = core.now();
+    live_events = core.stats().events;
   }
   ASSERT_TRUE(resched::srv::read_wal(dir + "/wal").records.empty());
   ASSERT_GT(live_now, 0.0);
@@ -523,6 +528,8 @@ TEST(SrvPin, SnapshotRecoveryRunsOnTheRestoredClock) {
     const proto::Response status =
         core.apply(make_request(proto::Verb::kStatus, -1, 0.0));
     EXPECT_EQ(status.now, live_now);
+    ASSERT_TRUE(status.stats.has_value());
+    EXPECT_EQ(status.stats->events, live_events);
     std::uint64_t lsn = 0;
     const proto::Response submit =
         core.apply(best_effort_submit(200, 0.0, 600.0), &lsn);
@@ -535,10 +542,69 @@ TEST(SrvPin, SnapshotRecoveryRunsOnTheRestoredClock) {
     core.finalize();
   }
   const PinnedHashes got = hash_state_dir(dir, responses + recovered);
-  EXPECT_EQ(got.responses, 0x85466be054630116ull);
+  EXPECT_EQ(got.responses, 0x808a9abc8d35be20ull);
   EXPECT_EQ(got.wal, 0x3ebea0f30e522e6full);
   EXPECT_EQ(got.trace, 0x077df96a4d371385ull);
   EXPECT_EQ(got.calendar, 0x751e4f0fd047e7abull);
+}
+
+// The same history reports the same `events` whether the daemon comes
+// back by replaying its whole WAL or from a snapshot plus the WAL tail.
+TEST(SrvWal, StatusEventsAgreeAcrossRecoveryPaths) {
+  auto events_before_and_after = [](std::uint64_t snapshot_every) {
+    const std::string dir = make_temp_dir();
+    const ServerCoreConfig config = daemon_config(dir, 1, snapshot_every);
+    std::pair<std::uint64_t, std::uint64_t> events;
+    {
+      ServerCore core(config);
+      core.recover();
+      std::string responses;
+      apply_script(core, pin_script(), responses);
+      events.first = core.stats().events;
+    }
+    EXPECT_EQ(std::ifstream(dir + "/snapshot").good(), snapshot_every > 0);
+    ServerCore core(config);
+    core.recover();
+    events.second = core.stats().events;
+    return events;
+  };
+  const auto wal_only = events_before_and_after(0);
+  const auto snapshot = events_before_and_after(3);
+  EXPECT_GT(wal_only.first, 0u);
+  EXPECT_EQ(wal_only.second, wal_only.first);
+  EXPECT_EQ(snapshot.first, wal_only.first);
+  EXPECT_EQ(snapshot.second, snapshot.first);
+}
+
+// A version-1 snapshot (no event count) is refused rather than misread.
+TEST(SrvWal, VersionOneSnapshotIsRefused) {
+  const std::string dir = make_temp_dir();
+  const ServerCoreConfig config = daemon_config(dir, 1, 3);
+  {
+    ServerCore core(config);
+    core.recover();
+    std::string responses;
+    apply_script(core,
+                 {best_effort_submit(1, 0.0, 600.0),
+                  best_effort_submit(2, 10.0, 600.0),
+                  best_effort_submit(3, 20.0, 600.0)},
+                 responses);
+  }
+  std::string snapshot = read_file(dir + "/snapshot");
+  ASSERT_GT(snapshot.size(), 8u);
+  ASSERT_EQ(snapshot[4], '\x02');  // little-endian u32 after the magic
+  snapshot[4] = '\x01';
+  {
+    std::ofstream out(dir + "/snapshot", std::ios::binary | std::ios::trunc);
+    out << snapshot;
+  }
+  ServerCore core(config);
+  try {
+    core.recover();
+    ADD_FAILURE() << "a version-1 snapshot was loaded";
+  } catch (const resched::Error& e) {
+    EXPECT_EQ(e.message(), "srv: unsupported snapshot version");
+  }
 }
 
 // A snapshot whose job-state byte names no JobRecord state is refused on

@@ -52,6 +52,42 @@ TEST(Rng, Deterministic) {
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a.next_u32(), b.next_u32());
 }
 
+// discard(n) is the LCG jump-ahead: it must leave the stream exactly where
+// n next_u32() calls would, for the edge counts (0, 1, 2, 3, 2^k +/- 1,
+// where the squaring loop's bit handling could slip) and random counts up
+// to 10^6, on several streams.
+TEST(Rng, DiscardEqualsThatManyDraws) {
+  std::vector<std::uint64_t> counts{0, 1, 2, 3};
+  for (int k = 2; k <= 19; ++k) {
+    const std::uint64_t p = std::uint64_t{1} << k;
+    counts.insert(counts.end(), {p - 1, p, p + 1});
+  }
+  Rng pick(0xD15C);
+  for (int i = 0; i < 8; ++i)
+    counts.push_back(static_cast<std::uint64_t>(pick.uniform_int(0, 1000000)));
+  for (const std::uint64_t seed : {1ull, 42ull, 0xC0FFEEull, ~0ull}) {
+    for (const std::uint64_t n : counts) {
+      Rng jumped(seed), stepped(seed);
+      jumped.discard(n);
+      for (std::uint64_t i = 0; i < n; ++i) stepped.next_u32();
+      for (int i = 0; i < 4; ++i)
+        ASSERT_EQ(jumped.next_u32(), stepped.next_u32())
+            << "seed " << seed << " n " << n << " draw " << i;
+    }
+  }
+}
+
+// bernoulli draws two words for 0 < prob < 1 and none at the clamps: the
+// count make_reservation_schedule jumps over for every job it skips.
+TEST(Rng, BernoulliDrawsTwoWordsInsideTheClamps) {
+  for (const double prob : {0.0, 0.1, 0.5, 0.999, 1.0}) {
+    Rng coin(7), words(7);
+    coin.bernoulli(prob);
+    words.discard(prob > 0.0 && prob < 1.0 ? 2 : 0);
+    EXPECT_EQ(coin.next_u32(), words.next_u32()) << "prob " << prob;
+  }
+}
+
 TEST(Rng, UniformInUnitInterval) {
   Rng rng(9);
   for (int i = 0; i < 10000; ++i) {

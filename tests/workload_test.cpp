@@ -1,5 +1,7 @@
 // Unit tests for src/workload: SWF round-trips, synthetic log calibration,
-// phi-tagging, the linear/expo/real decay transforms, and log statistics.
+// phi-tagging, the linear/expo/real decay transforms, log statistics, and
+// the windowed tagging and extraction against the full-scan loops they
+// replaced (kept here as the oracle).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +9,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/sim/scenario.hpp"
 #include "src/util/error.hpp"
 #include "src/workload/stats.hpp"
 #include "src/workload/swf.hpp"
@@ -469,6 +472,314 @@ TEST(SyntheticLog, RejectsBadAmplitude) {
   SyntheticLogSpec spec = sdsc_ds_spec();
   spec.diurnal_amplitude = 1.0;
   EXPECT_THROW(generate_log(spec, rng), resched::Error);
+}
+
+}  // namespace
+
+// --- Windowed tagging against the full-scan loops ----------------------------
+
+namespace oracle {
+
+// make_reservation_schedule and extract_reservations as they were before
+// the window search: a coin drawn for every job of the log and every job
+// tested against the window. Kept verbatim as the oracle the windowed
+// versions must match, reservation for reservation and in the stream they
+// leave behind.
+
+constexpr double kDay = 86400.0;
+
+resv::Reservation to_reservation(const Job& job) {
+  return {.start = job.start, .end = job.end(), .procs = job.procs};
+}
+
+resv::ReservationList reshape(const resv::ReservationList& future, double now,
+                              double horizon, util::Rng& rng,
+                              double (*target_fraction)(double k,
+                                                        double days)) {
+  const double days = horizon / kDay;
+  const int num_days = std::max(1, static_cast<int>(std::ceil(days)));
+  std::vector<resv::ReservationList> by_day(
+      static_cast<std::size_t>(num_days));
+  for (const auto& r : future) {
+    auto day = static_cast<int>((r.start - now) / kDay);
+    if (day >= 0 && day < num_days)
+      by_day[static_cast<std::size_t>(day)].push_back(r);
+  }
+
+  const double base_rate =
+      std::max(1.0, static_cast<double>(by_day[0].size()));
+  resv::ReservationList out = by_day[0];
+  for (int k = 1; k < num_days; ++k) {
+    auto& day_list = by_day[static_cast<std::size_t>(k)];
+    double target = base_rate * target_fraction(static_cast<double>(k), days);
+    auto have = static_cast<double>(day_list.size());
+    if (have > target) {
+      // Thin: keep each reservation with probability target / have.
+      for (const auto& r : day_list)
+        if (rng.bernoulli(target / have)) out.push_back(r);
+    } else {
+      for (const auto& r : day_list) out.push_back(r);
+      // Clone jittered copies from this day (or day 0 when empty) to fill.
+      const auto& pool = day_list.empty() ? by_day[0] : day_list;
+      if (!pool.empty()) {
+        auto deficit = static_cast<int>(std::lround(target - have));
+        for (int c = 0; c < deficit; ++c) {
+          resv::Reservation r = pool[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<int>(pool.size()) - 1))];
+          double dur = r.duration();
+          r.start = now + k * kDay + rng.uniform(0.0, kDay);
+          r.end = r.start + dur;
+          out.push_back(r);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+double linear_fraction(double k, double days) {
+  return std::max(0.0, 1.0 - (k + 0.5) / days);
+}
+
+double expo_fraction(double k, double days) {
+  // Time constant days/3: ~5% of the base rate remains at the horizon.
+  return std::exp(-3.0 * (k + 0.5) / days);
+}
+
+resv::ReservationList make_reservation_schedule(const Log& log, double now,
+                                                const TaggingSpec& spec,
+                                                util::Rng& rng) {
+  RESCHED_CHECK(spec.phi > 0.0 && spec.phi <= 1.0, "phi must be in (0, 1]");
+  RESCHED_CHECK(spec.horizon > 0.0 && spec.history >= 0.0,
+                "tagging windows must be positive");
+
+  resv::ReservationList past_and_ongoing;
+  resv::ReservationList future;
+  for (const Job& job : log.jobs) {
+    if (!rng.bernoulli(spec.phi)) continue;  // tagging
+    if (job.end() <= now - spec.history) continue;
+    if (spec.method == DecayMethod::kReal && job.submit > now) continue;
+    resv::Reservation r = to_reservation(job);
+    if (r.start >= now + spec.horizon) continue;
+    r.end = std::min(r.end, now + spec.horizon);
+    if (r.start < now)
+      past_and_ongoing.push_back(r);
+    else
+      future.push_back(r);
+  }
+
+  resv::ReservationList out = std::move(past_and_ongoing);
+  switch (spec.method) {
+    case DecayMethod::kReal:
+      // The submit-time filter above already shapes the decay.
+      out.insert(out.end(), future.begin(), future.end());
+      break;
+    case DecayMethod::kLinear: {
+      auto shaped = reshape(future, now, spec.horizon, rng, linear_fraction);
+      out.insert(out.end(), shaped.begin(), shaped.end());
+      break;
+    }
+    case DecayMethod::kExpo: {
+      auto shaped = reshape(future, now, spec.horizon, rng, expo_fraction);
+      out.insert(out.end(), shaped.begin(), shaped.end());
+      break;
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const resv::Reservation& a, const resv::Reservation& b) {
+              return a.start < b.start;
+            });
+  return out;
+}
+
+resv::ReservationList extract_reservations(const Log& log, double now,
+                                           double history) {
+  resv::ReservationList out;
+  for (const Job& job : log.jobs) {
+    if (job.submit > now) continue;        // not yet known at `now`
+    if (job.end() <= now - history) continue;  // too old to matter
+    out.push_back(to_reservation(job));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const resv::Reservation& a, const resv::Reservation& b) {
+              return a.start < b.start;
+            });
+  return out;
+}
+
+}  // namespace oracle
+
+namespace {
+
+/// Empty when both lists hold the same reservations in the same order,
+/// else where they first differ.
+std::string list_divergence(const resv::ReservationList& got,
+                            const resv::ReservationList& want) {
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i)
+    if (got[i].start != want[i].start || got[i].end != want[i].end ||
+        got[i].procs != want[i].procs)
+      return "reservation " + std::to_string(i) + " differs";
+  if (got.size() != want.size())
+    return "sizes " + std::to_string(got.size()) + " vs " +
+           std::to_string(want.size());
+  return "";
+}
+
+/// Tags `log` at `now` both ways from the same stream; the lists and the
+/// next 16 draws of the caller's stream must agree.
+void expect_tagging_matches_oracle(const Log& log, double now,
+                                   const TaggingSpec& spec,
+                                   std::uint64_t seed) {
+  util::Rng got_rng(seed), want_rng(seed);
+  const auto got = make_reservation_schedule(log, now, spec, got_rng);
+  const auto want = oracle::make_reservation_schedule(log, now, spec, want_rng);
+  EXPECT_EQ(list_divergence(got, want), "")
+      << log.name << " now " << now << " phi " << spec.phi << " "
+      << to_string(spec.method);
+  for (int i = 0; i < 16; ++i)
+    ASSERT_EQ(got_rng.next_u32(), want_rng.next_u32())
+        << log.name << " now " << now << " phi " << spec.phi << " "
+        << to_string(spec.method) << " draw " << i;
+}
+
+void expect_extraction_matches_oracle(const Log& log, double now,
+                                      double history) {
+  EXPECT_EQ(list_divergence(extract_reservations(log, now, history),
+                            oracle::extract_reservations(log, now, history)),
+            "")
+      << log.name << " now " << now << " history " << history;
+}
+
+// Every platform log, at instants from before the first job to past the
+// last (where the window search runs off either end), under each phi kind
+// (phi = 1 draws no coins) and each decay method; the Grid'5000 log is
+// also extracted whole, as its instances are.
+TEST(WindowedTagging, MatchesTheFullScanOnEveryPlatformLog) {
+  for (const sim::Platform platform :
+       {sim::Platform::kCtcSp2, sim::Platform::kOscCluster,
+        sim::Platform::kSdscBlue, sim::Platform::kSdscDs,
+        sim::Platform::kGrid5000}) {
+    const Log& log = sim::platform_log(platform);
+    ASSERT_EQ(log.max_end.size(), log.jobs.size()) << log.name;
+    util::Rng pick(util::derive_seed(0x7A6, {static_cast<std::uint64_t>(platform)}));
+    const double end = log.duration;
+    for (const double now :
+         {-kDay, 0.5 * kDay, 3 * kDay, 14 * kDay,
+          pick.uniform(14 * kDay, end - 14 * kDay), end - 14 * kDay,
+          end - 3 * kDay, end - 0.5 * kDay, end + kDay}) {
+      for (const double phi : {0.1, 0.5, 1.0})
+        for (const DecayMethod method :
+             {DecayMethod::kLinear, DecayMethod::kExpo, DecayMethod::kReal}) {
+          TaggingSpec spec;
+          spec.phi = phi;
+          spec.method = method;
+          expect_tagging_matches_oracle(
+              log, now, spec,
+              util::derive_seed(now > 0 ? static_cast<std::uint64_t>(now) : 1,
+                                {static_cast<std::uint64_t>(phi * 10)}));
+        }
+      expect_extraction_matches_oracle(log, now, 7 * kDay);
+    }
+  }
+}
+
+/// A hand-built, submit-sorted log: a job every two hours for 60 days, and
+/// one job submitted on day 1 that runs for `long_days` — far across the
+/// history edge of any instant in between.
+Log log_with_a_long_job(double long_days) {
+  Log log;
+  log.name = "long-job";
+  log.cpus = 64;
+  log.duration = 60 * kDay;
+  for (double t = 0.0; t < log.duration; t += 2 * 3600.0) {
+    log.jobs.push_back({t, t + 600.0, 3 * 3600.0, 1 + static_cast<int>(t) % 7});
+    if (t == kDay) log.jobs.push_back({t, t + 60.0, long_days * kDay, 32});
+  }
+  log.index_ends();
+  return log;
+}
+
+TEST(WindowedTagging, KeepsAJobSpanningFarAcrossTheHistoryEdge) {
+  const Log log = log_with_a_long_job(40.0);
+  for (const double now : {10 * kDay, 30 * kDay, 40 * kDay, 41.5 * kDay}) {
+    for (const double phi : {0.1, 0.5, 1.0})
+      for (const DecayMethod method :
+           {DecayMethod::kLinear, DecayMethod::kExpo, DecayMethod::kReal}) {
+        TaggingSpec spec;
+        spec.phi = phi;
+        spec.method = method;
+        expect_tagging_matches_oracle(log, now, spec, 99);
+      }
+    expect_extraction_matches_oracle(log, now, 7 * kDay);
+  }
+  // The long job (the only 32-proc one) is the window's first job at
+  // 30 days, twenty-two days before the short jobs the window starts with.
+  const JobRange range = jobs_in_window(log, 23 * kDay, 30 * kDay);
+  EXPECT_EQ(log.jobs[range.first].procs, 32);
+  TaggingSpec all;
+  all.phi = 1.0;
+  util::Rng rng(1);
+  const auto schedule = make_reservation_schedule(log, 30 * kDay, all, rng);
+  EXPECT_TRUE(std::any_of(schedule.begin(), schedule.end(),
+                          [](const resv::Reservation& r) {
+                            return r.procs == 32;
+                          }));
+}
+
+// A log without its running max (hand-built, or its jobs changed count
+// since index_ends) is searched whole, and answers as the indexed one.
+TEST(WindowedTagging, ALogWithoutItsIndexIsSearchedWhole) {
+  const Log indexed = log_with_a_long_job(40.0);
+  Log bare = indexed;
+  bare.max_end.clear();
+  const JobRange whole = jobs_in_window(bare, 23 * kDay, 30 * kDay);
+  EXPECT_EQ(whole.first, 0u);
+  EXPECT_EQ(whole.last, bare.jobs.size());
+  Log grown = indexed;
+  grown.jobs.push_back({59.9 * kDay, 59.9 * kDay, 600.0, 1});
+  EXPECT_EQ(jobs_in_window(grown, 23 * kDay, 30 * kDay).last,
+            grown.jobs.size());
+
+  TaggingSpec spec;
+  spec.phi = 0.5;
+  util::Rng a(5), b(5);
+  EXPECT_EQ(list_divergence(
+                make_reservation_schedule(indexed, 30 * kDay, spec, a),
+                make_reservation_schedule(bare, 30 * kDay, spec, b)),
+            "");
+  EXPECT_EQ(a.next_u32(), b.next_u32());
+}
+
+TEST(WindowedTagging, IndexingRefusesAnUnsortedLog) {
+  Log unsorted;
+  unsorted.jobs.push_back({2 * kDay, 2 * kDay, 600.0, 1});
+  unsorted.jobs.push_back({1 * kDay, 1 * kDay, 600.0, 1});
+  EXPECT_THROW(unsorted.index_ends(), resched::Error);
+  Log early;
+  early.jobs.push_back({2 * kDay, kDay, 600.0, 1});  // starts before submit
+  EXPECT_THROW(early.index_ends(), resched::Error);
+}
+
+// The work behind an instance: at the instants sim::make_instance draws
+// (a history plus a horizon from either end), tagging SDSC_BLUE visits at
+// most 3% of its jobs, whatever the decay method.
+TEST(WindowedTagging, VisitsAtMostThreePercentOfSdscBlue) {
+  const Log& log = sim::platform_log(sim::Platform::kSdscBlue);
+  const TaggingSpec spec;
+  util::Rng rng(0xB1E);
+  std::size_t widest = 0;
+  for (int i = 0; i < 200; ++i) {
+    const double now =
+        random_schedule_time(log, spec.history + spec.horizon, rng);
+    for (const double submitted_by : {now, now + spec.horizon}) {
+      const JobRange range =
+          jobs_in_window(log, now - spec.history, submitted_by);
+      widest = std::max(widest, range.last - range.first);
+    }
+  }
+  EXPECT_LE(static_cast<double>(widest),
+            0.03 * static_cast<double>(log.jobs.size()))
+      << widest << " of " << log.jobs.size() << " jobs";
 }
 
 }  // namespace
