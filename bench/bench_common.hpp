@@ -46,6 +46,14 @@ inline int scaled_stride(int base_stride) {
   return std::max(1, static_cast<int>(std::lround(base_stride / s)));
 }
 
+/// One timing cell of Tables 9 and 10: algorithm `a`'s median time per
+/// call [ms] over sim::run_timing's passes, with its quartiles, as
+/// `median [q1, q3]`.
+inline std::string timing_cell(const sim::TimingResult& r, std::size_t a) {
+  return sim::fmt(r.median_ms[a], 3) + " [" + sim::fmt(r.q1_ms[a], 3) + ", " +
+         sim::fmt(r.q3_ms[a], 3) + "]";
+}
+
 inline void print_header(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
   std::printf("(RESCHED_SCALE=%.2f, RESCHED_THREADS=%d)\n",

@@ -22,6 +22,12 @@
 //    the guideline series, the deadline path's fixed cost per admission.
 //    Counter: allocs_per_context (COUNTER_CEILINGS gate: the series reuses
 //    one kernel workspace instead of rebuilding a sub-DAG per task).
+//  * BM_CpaAllocate — CPA phase 1 (cpa::allocations) over 50-task daggen
+//    DAGs, the size of most Table-4 sweep cells, at q = 1152 (the largest
+//    sweep platform) and q = 200 (a typical q_hist there). Counter:
+//    sweeps_per_grant, the allocation loop's full sweeps over the
+//    processors it grants (COUNTER_CEILINGS gate: at most 0.5, where a
+//    sweep per grant reads 1.0; needs metrics compiled in).
 //  * BM_AdmissionScaling — engine-style admissions of the same 10-task
 //    DAGs against calendars of ~500 and ~8000 breakpoints that differ
 //    only in how far ahead they are booked. SCALING_CAPS gate: the long
@@ -58,7 +64,9 @@
 #include "src/core/ressched.hpp"
 #include "src/core/resscheddl.hpp"
 #include "src/core/tightest_deadline.hpp"
+#include "src/cpa/cpa.hpp"
 #include "src/dag/daggen.hpp"
+#include "src/obs/obs.hpp"
 #include "src/resv/arena.hpp"
 #include "src/resv/batch_scheduler.hpp"
 #include "src/resv/profile.hpp"
@@ -274,6 +282,37 @@ void BM_DeadlineContext(benchmark::State& state) {
           : static_cast<double>(allocs) / static_cast<double>(contexts);
 }
 BENCHMARK(BM_DeadlineContext)->Unit(benchmark::kMicrosecond);
+
+// -- CPA phase 1: grants per full sweep -----------------------------------
+
+void BM_CpaAllocate(benchmark::State& state) {
+  std::vector<dag::Dag> apps;
+  for (std::uint64_t seed = 30; seed < 38; ++seed)
+    apps.push_back(make_dag(50, seed));
+  const int qs[] = {1152, 200};
+  std::uint64_t runs = 0;
+  obs::set_metrics_enabled(true);
+  obs::registry().reset();
+  for (auto _ : state) {
+    auto alloc = cpa::allocations(apps[runs % apps.size()], qs[runs % 2]);
+    benchmark::DoNotOptimize(alloc);
+    ++runs;
+  }
+  obs::set_metrics_enabled(false);
+  state.counters["runs_per_sec"] = benchmark::Counter(
+      static_cast<double>(runs), benchmark::Counter::kIsRate);
+#ifndef RESCHED_OBS_DISABLED
+  std::uint64_t grants = 0, sweeps = 0;
+  for (const obs::CounterSample& c : obs::registry().snapshot().counters) {
+    if (c.name == "cpa.grants") grants = c.value;
+    if (c.name == "cpa.sweeps") sweeps = c.value;
+  }
+  state.counters["sweeps_per_grant"] =
+      grants == 0 ? 0.0
+                  : static_cast<double>(sweeps) / static_cast<double>(grants);
+#endif
+}
+BENCHMARK(BM_CpaAllocate)->Unit(benchmark::kMicrosecond);
 
 // -- admission cost against long calendars --------------------------------
 //

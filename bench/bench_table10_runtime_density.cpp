@@ -37,7 +37,7 @@ int main() {
   sim::TextTable table(headers);
   for (std::size_t a = 0; a < by_d.front().names.size(); ++a) {
     std::vector<std::string> row{by_d.front().names[a]};
-    for (const auto& r : by_d) row.push_back(sim::fmt(r.mean_ms[a], 3));
+    for (const auto& r : by_d) row.push_back(bench::timing_cell(r, a));
     table.add_row(std::move(row));
   }
   table.print(std::cout);

@@ -41,7 +41,10 @@ Current pairs / bars / ceilings:
     the static, dynamic and blind scheduling paths, a DL_RCBD_CPAR-lambda
     deadline context makes at most 64 heap allocations, and the treap-node
     arena performs zero chunk allocations in steady-state churn
-    (DESIGN.md §11 acceptance bars).
+    (DESIGN.md §11 acceptance bars);
+  * CPA allocation   — the allocation loop runs at most 0.5 full sweeps
+    per processor it grants (DESIGN.md §11, "Grants along one critical
+    chain"; a count, so it cannot drift with the host).
 
 --self-test runs the checker against synthetic in-memory fixtures and
 exits 0 iff every failure mode actually fails (wired into the lint CI
@@ -91,6 +94,8 @@ COUNTER_CEILINGS = [
      "heap allocations per DL_RCBD_CPAR-lambda deadline context"),
     ("BM_ChurnSteadyState", "arena_chunk_allocs", 0.0,
      "treap-node arena chunk allocations in steady-state churn"),
+    ("BM_CpaAllocate", "sweeps_per_grant", 0.5,
+     "full CPA sweeps per processor granted (one per grant reads 1.0)"),
 ]
 
 # google-benchmark JSON keys that are not user counters.
@@ -195,10 +200,10 @@ def compare(baseline, current, factor):
             failures.append(f"{label}: {name} counter '{counter}' missing"
                             f" from the current run")
             continue
-        lines.append(f"{label}: {value:.0f} (required <= {maximum:.0f})")
+        lines.append(f"{label}: {value:g} (required <= {maximum:g})")
         if value > maximum:
-            failures.append(f"{label}: {value:.0f} above the"
-                            f" {maximum:.0f} ceiling")
+            failures.append(f"{label}: {value:g} above the"
+                            f" {maximum:g} ceiling")
 
     return lines, failures
 
@@ -219,6 +224,7 @@ def self_test():
         bench("indexed_earliest_fit/10000", 100.0),
         bench("BM_AdmissionScaling/500", 50.0),
         bench("BM_AdmissionScaling/8000", 60.0),
+        bench("BM_CpaAllocate", 400.0, sweeps_per_grant=0.38),
     ]})
     good = parse({"benchmarks": [
         bench("BM_X/1", 110.0, widgets_per_sec=48.0),
@@ -229,6 +235,7 @@ def self_test():
         bench("indexed_earliest_fit/10000", 110.0),
         bench("BM_AdmissionScaling/500", 45.0),
         bench("BM_AdmissionScaling/8000", 55.0),
+        bench("BM_CpaAllocate", 390.0, sweeps_per_grant=0.4),
     ]})
 
     # (label, baseline, current, expect): expect is False (must pass), True
@@ -261,6 +268,14 @@ def self_test():
     over_ceiling["BM_ResschedSweep"]["counters"]["allocs_per_job"] = 500.0
     cases.append(("counter above the ceiling fails", base, over_ceiling,
                   True))
+    # A sweep per grant is no slower than the baseline's bench here, so
+    # only the fractional ceiling can fail it.
+    sweep_per_grant = {name: {"real_time": value["real_time"],
+                              "counters": dict(value["counters"])}
+                       for name, value in good.items()}
+    sweep_per_grant["BM_CpaAllocate"]["counters"]["sweeps_per_grant"] = 1.0
+    cases.append(("a CPA sweep per grant fails the ceiling", base,
+                  sweep_per_grant, "1 above the 0.5 ceiling"))
     # Both pair benchmarks stay within the 2x factor of their baselines, so
     # only the within-run speedup bar can fail these.
     below_pair = {name: dict(value) for name, value in good.items()}

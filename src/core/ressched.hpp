@@ -26,6 +26,11 @@
 //   BD_CPA   O(V^2 P' + V^2 P + V E P' + V E P + V R P)
 //   BD_CPAR  O(V^2 P' + V E P' + V R P')
 //
+// These worst cases still hold: a CPA grant along an unchanged critical
+// chain skips the O(V+E) sweeps (src/cpa/kernel.hpp), but a grant whose
+// critical path may change sweeps as before, so a DAG on which the path
+// changes at every grant costs the full V (V+E) P'.
+//
 // Placement rule (earliest_completion): counts are tried from the bound
 // down, and two exact bounds keep most of them from reaching the calendar.
 // ready + exec(np) lower-bounds every completion at np or below, so the

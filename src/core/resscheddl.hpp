@@ -41,8 +41,9 @@
 // asymptotically absorbed by the V (V+E) P' term but a large constant
 // factor in practice (the paper's 10-90x). cpa::guideline_starts computes
 // the whole series on the flat CPA kernel, without rebuilding a sub-DAG
-// per task, which leaves that factor at about 18-30x at V = 100 (Table 9's
-// bench, EXPERIMENTS.md).
+// per task, which leaves that factor at about 20-35x at V = 100 (Table 9's
+// bench, EXPERIMENTS.md). The kernel's grants along an unchanged critical
+// chain skip their sweeps, but not in the worst case, which is unchanged.
 //
 // The hybrid DL_RC_CPAR-λ (§5.4) relaxes the threshold to
 // S_i + λ (dl_i − S_i) and retries with growing λ (step 0.05) until the

@@ -1,9 +1,11 @@
 #include "src/cpa/kernel.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
+#include "src/obs/obs.hpp"
 #include "src/util/error.hpp"
 
 namespace resched::cpa {
@@ -22,7 +24,7 @@ Kernel::Kernel(const dag::Dag& dag, int q, const Options& opts)
     : dag_(dag), q_(q), opts_(opts) {
   const auto n = static_cast<std::size_t>(dag.size());
   const auto e = static_cast<std::size_t>(dag.num_edges());
-  ints_.resize(6 * n + 2 * (n + 1) + 2 * e +
+  ints_.resize(8 * n + 2 * (n + 1) + 2 * e +
                static_cast<std::size_t>(dag.num_levels()));
   reals_.resize(7 * n);
   int* ip = ints_.data();
@@ -34,6 +36,8 @@ Kernel::Kernel(const dag::Dag& dag, int q, const Options& opts)
   alloc_ = ints(n);
   cap_ = ints(n);
   prio_ = ints(n);
+  path_ = ints(n);
+  every_ = ints(n);
   soff_ = ints(n + 1);
   sdst_ = ints(e);
   poff_ = ints(n + 1);
@@ -89,6 +93,55 @@ void Kernel::load(std::span<const char> keep) {
     for (int e = soff_[i]; e < soff_[i + 1]; ++e) psrc_[prio_[sdst_[e]]++] = i;
 }
 
+void Kernel::mark_every_path() {
+  // Position b is on every source-to-sink path when no source comes after
+  // it, no sink comes before it and no edge jumps over it: a path starts
+  // at or before b, ends at or after b and climbs in position, so without
+  // an edge from before b to after b it must step on b. Each condition
+  // failing gives a path that avoids b.
+  const int m = m_;
+  int last_source = 0;
+  int first_sink = m;
+  for (int i = 0; i < m; ++i) {
+    if (poff_[i] == poff_[i + 1]) last_source = i;
+    if (soff_[i] == soff_[i + 1] && first_sink == m) first_sink = i;
+  }
+  int reach = 0;  // furthest successor of the positions before i
+  for (int i = 0; i < m; ++i) {
+    every_[i] = reach <= i && last_source <= i && i <= first_sink;
+    for (int e = soff_[i]; e < soff_[i + 1]; ++e)
+      reach = std::max(reach, sdst_[e]);
+  }
+}
+
+int Kernel::chain_candidate(int len, double t_cp, double margin,
+                            double t_a) const {
+  // The critical set is the chain, so the candidate is its largest-gain
+  // task below the cap. Ties go to the earlier chain task: bottom levels
+  // never increase along the chain (exec >= 0 and rounding is monotone),
+  // so that is the sweep's longer-bottom-level-then-position tie-break.
+  int best = -1;
+  double best_gain = 0.0;
+  for (int j = 0; j < len; ++j) {
+    const int i = path_[j];
+    if (alloc_[i] >= cap_[i]) continue;
+    if (best < 0 || gain_[i] > best_gain) {
+      best = i;
+      best_gain = gain_[i];
+    }
+  }
+  if (best < 0 || best_gain <= 0.0) return -1;
+  if (t_cp - margin <= t_a) {
+    // Too close to call from the estimate: T_CP is the chain's bottom
+    // level, summed right to left as the reverse sweep sums it (the chain
+    // ends at a sink and each chain task's longest successor is the next).
+    double bl = 0.0;
+    for (int j = len; j-- > 0;) bl = exec_[path_[j]] + bl;
+    if (bl <= t_a) return -1;
+  }
+  return best;
+}
+
 void Kernel::allocate() {
   const int m = m_;
   const int q = q_;
@@ -126,49 +179,94 @@ void Kernel::allocate() {
   for (int v = 0; v < dag_.size(); ++v)
     if (pos_[v] >= 0) area += exec_[pos_[v]];
   double t_a = area / static_cast<double>(q);
+  mark_every_path();
 
   // Each iteration adds one processor to one task, so the loop is bounded
-  // by m * (q - 1) even if T_CP never dips below T_A. Every grant re-runs
-  // the full bottom-level and top-level sweeps over the position arrays
-  // (an incremental longest-path update, and sweeps restricted to the
-  // positions a grant can move, were measured not to pay; DESIGN.md §11).
+  // by m * (q - 1) even if T_CP never dips below T_A. A full sweep (the
+  // reverse bottom-level sweep, then the forward top-level pull) decides a
+  // grant exactly as the textbook loop does. When that sweep finds the
+  // critical set to be one source-to-sink chain, the grants that follow
+  // stay on it without sweeping for as long as `room` proves that no task
+  // off the chain can turn critical; every exit follows a full sweep
+  // (DESIGN.md §11, "Grants along one critical chain").
+  std::uint64_t grants = 0;
+  std::uint64_t sweeps = 0;
+  double t_cp = 0.0;    // T_CP at the last sweep
+  double margin = 0.0;  // rounding guard, relative to that T_CP
+  double shrink = 0.0;  // the chain's exec reductions since the sweep
+  double room = 0.0;    // how much more the chain may shrink alone
+  int len = 0;          // chain length, path_[0, len)
   while (true) {
-    // Bottom levels, with T_CP folded into the same reverse sweep.
-    double t_cp = -std::numeric_limits<double>::infinity();
-    for (int i = m; i-- > 0;) {
-      double longest = 0.0;
-      for (int e = soff_[i]; e < soff_[i + 1]; ++e)
-        longest = std::max(longest, bl_[sdst_[e]]);
-      bl_[i] = exec_[i] + longest;
-      t_cp = std::max(t_cp, bl_[i]);
-    }
-    if (t_cp <= t_a) break;
-
-    // Candidate: critical-path task with the largest relative execution-time
-    // reduction from one extra processor; ties go to the longer bottom level
-    // (the more schedule-critical task), then to the earlier position. Top
-    // levels are pulled over predecessors in the same forward pass, so each
-    // is final when its task is tested: same tolerance arithmetic and
-    // visiting order as dag::critical_path_tasks.
-    const double tol = 1e-9 * std::max(1.0, t_cp);
-    int best = -1;
-    double best_gain = 0.0;
-    for (int i = 0; i < m; ++i) {
-      double top = 0.0;
-      for (int e = poff_[i]; e < poff_[i + 1]; ++e)
-        top = std::max(top, end_[psrc_[e]]);
-      end_[i] = top + exec_[i];
-      if (top + bl_[i] < t_cp - tol) continue;  // off every critical path
-      if (alloc_[i] >= cap_[i]) continue;
-      if (best < 0 || gain_[i] > best_gain ||
-          (gain_[i] == best_gain && bl_[i] > bl_[best])) {
-        best = i;
-        best_gain = gain_[i];
+    int best = room > 0.0 ? chain_candidate(len, t_cp - shrink, margin, t_a)
+                          : -1;
+    if (best < 0) {
+      ++sweeps;
+      // Bottom levels, with T_CP folded into the same reverse sweep.
+      t_cp = -std::numeric_limits<double>::infinity();
+      for (int i = m; i-- > 0;) {
+        double longest = 0.0;
+        for (int e = soff_[i]; e < soff_[i + 1]; ++e)
+          longest = std::max(longest, bl_[sdst_[e]]);
+        bl_[i] = exec_[i] + longest;
+        t_cp = std::max(t_cp, bl_[i]);
       }
+      if (t_cp <= t_a) break;
+
+      // Candidate: critical-path task with the largest relative execution-
+      // time reduction from one extra processor; ties go to the longer
+      // bottom level (the more schedule-critical task), then to the earlier
+      // position. Top levels are pulled over predecessors in the same
+      // forward pass, so each is final when its task is tested: same
+      // tolerance arithmetic and visiting order as
+      // dag::critical_path_tasks. The pass also records the critical tasks
+      // in position order, checks that they form one source-to-sink chain
+      // (each has the one before among its predecessors), and keeps `off`,
+      // the longest path through any other task.
+      const double tol = 1e-9 * std::max(1.0, t_cp);
+      double off = -std::numeric_limits<double>::infinity();
+      bool chain = true;
+      len = 0;
+      double best_gain = 0.0;
+      for (int i = 0; i < m; ++i) {
+        double top = 0.0;
+        for (int e = poff_[i]; e < poff_[i + 1]; ++e)
+          top = std::max(top, end_[psrc_[e]]);
+        end_[i] = top + exec_[i];
+        if (top + bl_[i] < t_cp - tol) {  // off every critical path
+          off = std::max(off, top + bl_[i]);
+          continue;
+        }
+        const int* preds = psrc_ + poff_[i];
+        const int* preds_end = psrc_ + poff_[i + 1];
+        chain = chain && (len == 0
+                              ? preds == preds_end
+                              : std::find(preds, preds_end,
+                                          path_[len - 1]) != preds_end);
+        path_[len++] = i;
+        if (alloc_[i] >= cap_[i]) continue;
+        if (best < 0 || gain_[i] > best_gain ||
+            (gain_[i] == best_gain && bl_[i] > bl_[best])) {
+          best = i;
+          best_gain = gain_[i];
+        }
+      }
+      if (best < 0 || best_gain <= 0.0) break;  // saturated: no useful growth
+      chain = chain && soff_[path_[len - 1]] == soff_[path_[len - 1] + 1];
+
+      // While room > 0, every task off the chain stays more than `margin`
+      // below T_CP - tol, because exec only falls (add and max round
+      // monotonically, so no off-chain path lengthens) while T_CP falls by
+      // the chain's own reductions. A grant at a position on every path
+      // shortens every path alike and charges nothing.
+      margin = 1e-7 * std::max(1.0, t_cp);
+      room = chain ? (t_cp - tol) - off - margin : 0.0;
+      shrink = 0.0;
     }
-    if (best < 0 || best_gain <= 0.0) break;  // saturated: no useful growth
 
     const int a = alloc_[best];
+    const double delta = exec_[best] - next_[best];
+    shrink += delta;
+    if (every_[best] == 0) room -= delta;
     t_a += (static_cast<double>(a + 1) * next_[best] -
             static_cast<double>(a) * exec_[best]) /
            static_cast<double>(q);
@@ -176,7 +274,11 @@ void Kernel::allocate() {
     exec_[best] = next_[best];
     next_[best] = exec_at(best, a + 2);
     gain_[best] = gain_of(exec_[best], next_[best]);
+    ++grants;
   }
+  OBS_COUNT("cpa.runs", 1);
+  OBS_COUNT("cpa.grants", grants);
+  OBS_COUNT("cpa.sweeps", sweeps);
 }
 
 double Kernel::start_of(int task) {

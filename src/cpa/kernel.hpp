@@ -44,6 +44,9 @@ class Kernel {
 
   /// CPA phase 1 on q processors over the loaded tasks. Leaves each
   /// position's allocation and its bottom level under that allocation.
+  /// While the last full sweep proves the critical path cannot change, it
+  /// grants along that path without sweeping (DESIGN.md §11, "Grants along
+  /// one critical chain"); the allocations are the per-grant sweep's.
   void allocate();
 
   /// List-schedules the loaded tasks from time 0 on q processors in
@@ -60,6 +63,12 @@ class Kernel {
     return seq_[pos] *
            (alpha_[pos] + (1.0 - alpha_[pos]) / static_cast<double>(procs));
   }
+  /// Marks in every_ the positions that lie on every source-to-sink path.
+  void mark_every_path();
+  /// The next grant along the critical chain path_[0, len) without a
+  /// sweep, or -1 when only a sweep can decide it. `t_cp` estimates the
+  /// chain's length to within `margin`.
+  int chain_candidate(int len, double t_cp, double margin, double t_a) const;
 
   const dag::Dag& dag_;
   const int q_;
@@ -84,6 +93,8 @@ class Kernel {
   int* poff_ = nullptr;   // predecessor lists: psrc_[poff_[i], poff_[i + 1])
   int* psrc_ = nullptr;
   int* width_ = nullptr;  // kept tasks per precedence level, indexed by level
+  int* path_ = nullptr;   // the last sweep's critical tasks, in position order
+  int* every_ = nullptr;  // 1 when the position is on every source-sink path
   double* seq_ = nullptr;
   double* alpha_ = nullptr;
   double* exec_ = nullptr;  // exec time at alloc_

@@ -16,6 +16,10 @@ namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
+// run_timing's passes: with five, the quartiles are the second and fourth
+// order statistics.
+constexpr int kTimingPasses = 5;
+
 int instances_of(const RunConfig& config) {
   RESCHED_CHECK(config.dag_samples >= 1 && config.resv_samples >= 1,
                 "need at least one instance per scenario");
@@ -199,45 +203,60 @@ TimingResult run_timing(std::span<const ScenarioSpec> scenarios,
   TimingResult out;
   for (const auto& a : ressched) out.names.push_back(a.name);
   for (const auto& a : deadline) out.names.push_back(a.name);
-  out.mean_ms.assign(out.names.size(), 0.0);
-  std::size_t samples = 0;
 
-  using Clock = std::chrono::steady_clock;
+  // Each instance with its deadline: moderately loose, so RC algorithms
+  // exercise their full (guideline-driven) machinery without exhausting
+  // the λ ladder.
+  std::vector<Instance> instances;
+  std::vector<double> deadlines;
   const int per_scenario = instances_of(config);
-  for (const ScenarioSpec& scenario : scenarios) {
-    // Timing is inherently serial-sensitive; run instances sequentially.
+  for (const ScenarioSpec& scenario : scenarios)
     for (int i = 0; i < per_scenario; ++i) {
-      int dag_idx = i / config.resv_samples;
-      int resv_idx = i % config.resv_samples;
-      Instance inst = make_instance(scenario, dag_idx, resv_idx, config.seed);
-      // A moderately loose deadline so RC algorithms exercise their full
-      // (guideline-driven) machinery without exhausting the λ ladder.
-      core::ResschedParams ref;
-      double k = inst.now + 1.5 * core::schedule_ressched(
-                                      inst.dag, inst.profile, inst.now,
-                                      inst.q_hist, ref)
-                                      .turnaround;
+      Instance inst = make_instance(scenario, i / config.resv_samples,
+                                    i % config.resv_samples, config.seed);
+      deadlines.push_back(
+          inst.now + 1.5 * core::schedule_ressched(inst.dag, inst.profile,
+                                                   inst.now, inst.q_hist,
+                                                   core::ResschedParams{})
+                               .turnaround);
+      instances.push_back(std::move(inst));
+    }
+
+  // Timing is inherently serial-sensitive; run every call sequentially.
+  using Clock = std::chrono::steady_clock;
+  auto ms_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+        .count();
+  };
+  std::vector<std::vector<double>> pass_ms(
+      out.names.size(), std::vector<double>(kTimingPasses, 0.0));
+  for (int pass = 0; pass < kTimingPasses; ++pass)
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+      const Instance& inst = instances[i];
       std::size_t col = 0;
       for (const auto& algo : ressched) {
-        auto t0 = Clock::now();
+        const auto t0 = Clock::now();
         core::schedule_ressched(inst.dag, inst.profile, inst.now, inst.q_hist,
                                 algo.params);
-        out.mean_ms[col++] +=
-            std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                .count();
+        pass_ms[col++][static_cast<std::size_t>(pass)] += ms_since(t0);
       }
       for (const auto& algo : deadline) {
-        auto t0 = Clock::now();
+        const auto t0 = Clock::now();
         core::schedule_deadline(inst.dag, inst.profile, inst.now, inst.q_hist,
-                                k, algo.params);
-        out.mean_ms[col++] +=
-            std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                .count();
+                                deadlines[i], algo.params);
+        pass_ms[col++][static_cast<std::size_t>(pass)] += ms_since(t0);
       }
-      ++samples;
     }
+
+  const auto calls =
+      static_cast<double>(std::max<std::size_t>(1, instances.size()));
+  for (std::vector<double>& samples : pass_ms) {
+    for (double& ms : samples) ms /= calls;
+    std::sort(samples.begin(), samples.end());
+    out.q1_ms.push_back(samples[1]);
+    out.median_ms.push_back(samples[2]);
+    out.q3_ms.push_back(samples[3]);
   }
-  for (auto& ms : out.mean_ms) ms /= std::max<std::size_t>(1, samples);
   return out;
 }
 

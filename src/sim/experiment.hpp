@@ -55,14 +55,21 @@ ComparisonTable run_deadline_comparison(
     std::span<const ScenarioSpec> scenarios,
     std::span<const core::NamedDeadline> algos, const RunConfig& config);
 
-/// Measures mean wall-clock scheduling time [ms] of each algorithm over the
+/// Measures the wall-clock scheduling time [ms] of each algorithm over the
 /// given scenarios (Tables 9 and 10). RESSCHED algorithms are timed on
 /// schedule_ressched; deadline algorithms on schedule_deadline with a
 /// deadline 1.5x the BD_CPAR turn-around (so RC algorithms run their full
-/// machinery, guideline computation included).
+/// machinery, guideline computation included). Every instance is built
+/// once, then five passes time every (instance, algorithm) pair once each,
+/// the algorithms interleaved instance by instance, so that a drift in
+/// host speed lands on every algorithm alike. Each pass gives one sample
+/// per algorithm, its mean time per call over the instances; the result is
+/// the median of the five samples with their quartiles.
 struct TimingResult {
   std::vector<std::string> names;
-  std::vector<double> mean_ms;
+  std::vector<double> median_ms;
+  std::vector<double> q1_ms;
+  std::vector<double> q3_ms;
 };
 TimingResult run_timing(std::span<const ScenarioSpec> scenarios,
                         std::span<const core::NamedRessched> ressched,

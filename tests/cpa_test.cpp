@@ -7,14 +7,17 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
 
 #include "src/cpa/cpa.hpp"
+#include "src/cpa/kernel.hpp"
 #include "src/dag/daggen.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
 #include "tests/subdag_guideline.hpp"
+#include "tests/sweep_cells.hpp"
 #include "tests/tie_dags.hpp"
 
 namespace {
@@ -196,6 +199,145 @@ Dag with_extreme_alphas(const Dag& d, util::Rng& rng) {
   return Dag(std::move(costs), edges);
 }
 
+/// A backward order: the reverse of a topological order that picks among
+/// the ready tasks at random.
+std::vector<int> random_backward_order(const Dag& d, util::Rng& rng) {
+  std::vector<int> indeg, ready, order;
+  for (int v = 0; v < d.size(); ++v) {
+    indeg.push_back(static_cast<int>(d.predecessors(v).size()));
+    if (indeg.back() == 0) ready.push_back(v);
+  }
+  while (!ready.empty()) {
+    const auto pick = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(ready.size()) - 1));
+    const int v = ready[pick];
+    ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(pick));
+    order.push_back(v);
+    for (int s : d.successors(v))
+      if (--indeg[static_cast<std::size_t>(s)] == 0) ready.push_back(s);
+  }
+  std::reverse(order.begin(), order.end());
+  return order;
+}
+
+/// Entry -> two parallel chains of `k` tasks -> exit. The second chain's
+/// last task is `shorter` seconds shorter at one processor, so the chains'
+/// lengths differ by about that much: less than one grant's reduction, by
+/// about the critical-path tolerance, or by one ulp.
+Dag two_branches(int k, double alpha, double shorter) {
+  std::vector<TaskCost> costs(static_cast<std::size_t>(2 * k + 2),
+                              TaskCost{3600.0, alpha});
+  costs[static_cast<std::size_t>(2 * k)].seq_time -= shorter;
+  std::vector<std::pair<int, int>> edges;
+  for (int b = 0; b < 2; ++b) {
+    const int first = 1 + b * k;
+    edges.emplace_back(0, first);
+    for (int i = first; i + 1 < first + k; ++i) edges.emplace_back(i, i + 1);
+    edges.emplace_back(first + k - 1, 2 * k + 1);
+  }
+  return Dag(std::move(costs), edges);
+}
+
+/// `parts` disjoint chains of `k` tasks, chain c's last task `c * shorter`
+/// seconds shorter: the longest chain holds position 0, which lies on no
+/// path of the others. With `join`, a shared exit task turns them into one
+/// component with `parts` sources.
+Dag parallel_chains(int parts, int k, double shorter, bool join) {
+  std::vector<TaskCost> costs(static_cast<std::size_t>(parts * k),
+                              TaskCost{3600.0, 0.1});
+  std::vector<std::pair<int, int>> edges;
+  for (int c = 0; c < parts; ++c) {
+    costs[static_cast<std::size_t>(c * k + k - 1)].seq_time -= c * shorter;
+    for (int i = c * k; i + 1 < (c + 1) * k; ++i) edges.emplace_back(i, i + 1);
+    if (join) edges.emplace_back(c * k + k - 1, parts * k);
+  }
+  if (join) costs.push_back(TaskCost{1800.0, 0.1});
+  return Dag(std::move(costs), edges);
+}
+
+/// Hand-built DAGs on which the critical chain is about to change, or on
+/// which a chain grant is easy to mis-charge: near-tied parallel branches,
+/// a chain through zero-cost, α = 0 and α = 1 tasks, a chain task that
+/// reaches its improved-criterion cap while still critical, and several
+/// sources or components, so that position 0 is not on every path.
+std::vector<Dag> near_tie_dags() {
+  std::vector<Dag> dags;
+  const double ulp = 3600.0 - std::nextafter(3600.0, 0.0);
+  for (int k : {1, 3})
+    for (double alpha : {0.0, 0.1, 0.9}) {
+      // Half the first grant's reduction, about the 1e-9 T_CP tolerance
+      // (just inside and just outside it), and one ulp.
+      const double t_cp = 3600.0 * (k + 2);
+      for (double shorter : {0.25 * 3600.0 * (1.0 - alpha), 1e-9 * t_cp,
+                             1.1e-9 * t_cp, ulp})
+        dags.push_back(two_branches(k, alpha, shorter));
+    }
+  {
+    // entry -> zero-cost -> α = 0 -> α = 1 -> exit, beside a branch that
+    // is critical at one processor and falls below the chain at two.
+    std::vector<TaskCost> costs{{3600.0, 0.1}, {0.0, 0.1},    {3600.0, 0.0},
+                                {3600.0, 1.0}, {1800.0, 0.1}, {10700.0, 0.2}};
+    dags.emplace_back(std::move(costs),
+                      std::vector<std::pair<int, int>>{
+                          {0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 5}, {5, 4}});
+  }
+  for (int w : {2, 4, 8}) {
+    // One long task in a level of w: critical, capped at ceil(q / w).
+    std::vector<TaskCost> costs(static_cast<std::size_t>(w + 2),
+                                TaskCost{600.0, 0.05});
+    costs[1] = TaskCost{4.0 * 3600.0, 0.05};
+    std::vector<std::pair<int, int>> edges;
+    for (int i = 1; i <= w; ++i) {
+      edges.emplace_back(0, i);
+      edges.emplace_back(i, w + 1);
+    }
+    dags.emplace_back(std::move(costs), edges);
+  }
+  for (int parts : {2, 3})
+    for (double shorter : {100.0, 1e-6, ulp})
+      for (bool join : {false, true})
+        dags.push_back(parallel_chains(parts, 3, shorter, join));
+  return dags;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The kernel run on the tasks `keep` marks against the reference loop on
+/// the rebuilt sub-DAG (a copy of the DAG for a full mask): every
+/// allocation, and the list-schedule start of the task placed last, which
+/// reads the bottom levels the kernel leaves behind.
+void expect_kernel_matches_reference(const Dag& d,
+                                     const std::vector<bool>& keep, int q,
+                                     const cpa::Options& opts) {
+  const dag::SubDag sub = dag::induced_subdag(d, keep);
+  const std::vector<int> alloc = reference_allocations(sub.dag, q, opts);
+  const std::vector<int> order =
+      dag::order_by_decreasing(sub.dag, dag::bottom_levels(sub.dag, alloc));
+  const int last = order.back();
+  const double last_start =
+      cpa::list_schedule(sub.dag, alloc, q, 0.0, order)
+          [static_cast<std::size_t>(last)].start;
+
+  cpa::Kernel kernel(d, q, opts);
+  kernel.load(std::vector<char>(keep.begin(), keep.end()));
+  kernel.allocate();
+  ASSERT_EQ(kernel.size(), sub.dag.size());
+  std::vector<int> got(static_cast<std::size_t>(d.size()), 0);
+  for (int i = 0; i < kernel.size(); ++i)
+    got[static_cast<std::size_t>(kernel.task_at(i))] = kernel.alloc_at(i);
+  for (int v = 0; v < sub.dag.size(); ++v)
+    EXPECT_EQ(got[static_cast<std::size_t>(
+                  sub.to_original[static_cast<std::size_t>(v)])],
+              alloc[static_cast<std::size_t>(v)])
+        << "n=" << sub.dag.size() << " of " << d.size() << " q=" << q
+        << " criterion=" << static_cast<int>(opts.criterion) << " task " << v;
+  EXPECT_EQ(bits(kernel.start_of(
+                sub.to_original[static_cast<std::size_t>(last)])),
+            bits(last_start))
+      << "n=" << sub.dag.size() << " of " << d.size() << " q=" << q
+      << " criterion=" << static_cast<int>(opts.criterion);
+}
+
 TEST(CpaAllocations, MatchesReferenceLoop) {
   util::Rng rng(77);
   std::vector<Dag> dags{chain(1), chain(2), chain(7), fork_join(1),
@@ -214,13 +356,42 @@ TEST(CpaAllocations, MatchesReferenceLoop) {
   // reversed edge input and shuffled ids.
   util::Rng tie_rng(78);
   for (Dag& d : tie_dags::tie_dags(tie_rng, 40)) dags.push_back(std::move(d));
+  // The critical chain about to change.
+  for (Dag& d : near_tie_dags()) dags.push_back(std::move(d));
   for (const Dag& d : dags)
     for (int q : {1, 2, 7, 64, 430, 1152})
-      for (auto crit : {cpa::Criterion::kOriginal, cpa::Criterion::kImproved})
+      for (auto crit : {cpa::Criterion::kOriginal, cpa::Criterion::kImproved}) {
         EXPECT_EQ(cpa::allocations(d, q, {crit}),
                   reference_allocations(d, q, {crit}))
             << "n=" << d.size() << " q=" << q << " criterion="
             << static_cast<int>(crit);
+        expect_kernel_matches_reference(
+            d, std::vector<bool>(static_cast<std::size_t>(d.size()), true), q,
+            {crit});
+      }
+
+  // Every kept set of a random backward order: the ancestor-closed task
+  // sets the guideline series loads.
+  util::Rng order_rng(79);
+  for (const Dag& d : dags) {
+    if (d.size() > 30) continue;
+    for (int q : {2, 7, 64, 1152})
+      for (auto crit : {cpa::Criterion::kOriginal, cpa::Criterion::kImproved}) {
+        const std::vector<int> order = random_backward_order(d, order_rng);
+        std::vector<bool> keep(static_cast<std::size_t>(d.size()), true);
+        for (std::size_t k = 1; k < order.size(); ++k) {
+          keep[static_cast<std::size_t>(order[k - 1])] = false;
+          expect_kernel_matches_reference(d, keep, q, {crit});
+        }
+      }
+  }
+
+  // perfbench's seed-1 sweep cells at q_hist and at p.
+  for (const sim::Instance& inst : sweep_cells::sweep_cells(1))
+    for (int q : {inst.q_hist, inst.profile.capacity()})
+      EXPECT_EQ(cpa::allocations(inst.dag, q),
+                reference_allocations(inst.dag, q, {}))
+          << "n=" << inst.dag.size() << " q=" << q;
 }
 
 TEST(ListSchedule, RespectsPrecedenceAndCapacity) {
@@ -351,8 +522,6 @@ std::vector<cpa::Placement> sort_loop_list_schedule(
   return placed;
 }
 
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
 TEST(ListSchedule, MergeMatchesSortLoop) {
   // Random allocations, a quarter of them the whole machine (k = q), in
   // the CPA priority order; identical-cost DAGs make many free times tie.
@@ -469,27 +638,6 @@ TEST(SubdagGuideline, ShrinksAsTasksAreRemoved) {
   keep[5] = false;
   auto partial = cpa::subdag_guideline(d, keep, 8);
   EXPECT_LT(partial.makespan, full.makespan);
-}
-
-/// A backward order: the reverse of a topological order that picks among
-/// the ready tasks at random.
-std::vector<int> random_backward_order(const Dag& d, util::Rng& rng) {
-  std::vector<int> indeg, ready, order;
-  for (int v = 0; v < d.size(); ++v) {
-    indeg.push_back(static_cast<int>(d.predecessors(v).size()));
-    if (indeg.back() == 0) ready.push_back(v);
-  }
-  while (!ready.empty()) {
-    const auto pick = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<int>(ready.size()) - 1));
-    const int v = ready[pick];
-    ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(pick));
-    order.push_back(v);
-    for (int s : d.successors(v))
-      if (--indeg[static_cast<std::size_t>(s)] == 0) ready.push_back(s);
-  }
-  std::reverse(order.begin(), order.end());
-  return order;
 }
 
 TEST(GuidelineSeries, MatchesSubdagGuidelineAtEveryStep) {

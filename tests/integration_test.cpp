@@ -166,10 +166,15 @@ TEST(Integration, TimingHarnessReportsAllAlgorithms) {
   }
   auto timing = sim::run_timing(grid, ressched, deadline, config);
   ASSERT_EQ(timing.names.size(), 6u);
-  for (double ms : timing.mean_ms) EXPECT_GE(ms, 0.0);
+  ASSERT_EQ(timing.median_ms.size(), 6u);
+  for (std::size_t a = 0; a < 6; ++a) {
+    EXPECT_GE(timing.q1_ms[a], 0.0);
+    EXPECT_LE(timing.q1_ms[a], timing.median_ms[a]);
+    EXPECT_LE(timing.median_ms[a], timing.q3_ms[a]);
+  }
   // The resource-conservative algorithm must be measurably slower than its
   // aggressive counterpart (paper §6.2: a factor 10-90).
-  EXPECT_GT(timing.mean_ms[5], timing.mean_ms[4]);
+  EXPECT_GT(timing.median_ms[5], timing.median_ms[4]);
 }
 
 }  // namespace

@@ -16,8 +16,12 @@
 // Grid'5000 instances, each as its scheduling instant, historical
 // availability and calendar (sim::make_instance: a φ-tagged batch log, or
 // the reservation log's own jobs, built into a profile).
+//
+// CPA's own work: runs, grants and full sweeps of the allocation loop over
+// the sweep cells and over deadline contexts of replay-drawn DAGs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -26,48 +30,24 @@
 #include "src/core/algorithms.hpp"
 #include "src/core/dynamic.hpp"
 #include "src/core/ressched.hpp"
+#include "src/core/resscheddl.hpp"
+#include "src/cpa/cpa.hpp"
 #include "src/obs/obs.hpp"
+#include "src/online/replay.hpp"
 #include "src/sim/scenario.hpp"
 #include "src/util/rng.hpp"
 #include "tests/fnv1a.hpp"
+#include "tests/sweep_cells.hpp"
 
 namespace {
 
 using namespace resched;
 
-// perfbench's stratification: every application spec on every platform,
-// the grid point (phi x decay method) and instance indices from the seed.
-constexpr int kPlatforms = 4;
-constexpr int kGridPerPlatform = 9;
 constexpr std::uint64_t kSeed = 1;
 // The pinned schedules' subset: every kStride-th cell, which keeps the test
 // within a few seconds under ASan while covering every platform and most
 // specs.
 constexpr std::size_t kStride = 3;
-
-/// Every `stride`-th of perfbench's sweep cells for `seed`.
-std::vector<sim::Instance> sweep_cells(std::uint64_t seed = kSeed,
-                                       std::size_t stride = kStride) {
-  const std::vector<sim::ScenarioSpec> grid = sim::synthetic_grid();
-  const auto apps = grid.size() / (kPlatforms * kGridPerPlatform);
-  util::Rng rng(util::derive_seed(seed, {0x5EE9}));
-  std::vector<sim::Instance> cells;
-  std::size_t drawn = 0;
-  for (std::size_t a = 0; a < apps; ++a)
-    for (int p = 0; p < kPlatforms; ++p) {
-      const auto k = static_cast<std::size_t>(
-          rng.uniform_int(0, kGridPerPlatform - 1));
-      const sim::ScenarioSpec& scenario =
-          grid[(a * kPlatforms + static_cast<std::size_t>(p)) *
-                   kGridPerPlatform +
-               k];
-      const auto dag_idx = static_cast<int>(rng.uniform_int(0, 19));
-      const auto resv_idx = static_cast<int>(rng.uniform_int(0, 49));
-      if (drawn++ % stride == 0)
-        cells.push_back(sim::make_instance(scenario, dag_idx, resv_idx, seed));
-    }
-  return cells;
-}
 
 /// Appends an instance's scheduling instant and historical availability,
 /// then one line per canonical calendar step, the doubles as exact
@@ -113,11 +93,29 @@ struct CellWork {
   bool operator==(const CellWork&) const = default;
 };
 
+/// CPA allocation work: `cpa::Kernel::allocate` calls, processors granted
+/// and full bottom-level/top-level sweeps (the counters cpa.runs,
+/// cpa.grants and cpa.sweeps).
+struct CpaWork {
+  std::uint64_t runs = 0;
+  std::uint64_t grants = 0;
+  std::uint64_t sweeps = 0;
+  bool operator==(const CpaWork&) const = default;
+};
+
 #ifndef RESCHED_OBS_DISABLED
 std::uint64_t counter(const char* name) {
   for (const obs::CounterSample& c : obs::registry().snapshot().counters)
     if (c.name == name) return c.value;
   return 0;
+}
+
+/// The CPA work `fn` does, read from a zeroed registry.
+template <class Fn>
+CpaWork cpa_work(Fn&& fn) {
+  obs::registry().reset();
+  fn();
+  return {counter("cpa.runs"), counter("cpa.grants"), counter("cpa.sweeps")};
 }
 #endif
 
@@ -127,7 +125,8 @@ std::uint64_t counter(const char* name) {
 // dynamic variant (under BD_ALL, the bound with the most counts to sweep),
 // each task's procs, start and finish.
 TEST(SweepPin, Table4SchedulesAreByteIdentical) {
-  const std::vector<sim::Instance> cells = sweep_cells();
+  const std::vector<sim::Instance> cells =
+      sweep_cells::sweep_cells(kSeed, kStride);
   const std::vector<core::NamedRessched> algos = core::table4_algorithms();
   ASSERT_EQ(algos.front().params.bd, core::BdMethod::kAll);
   ASSERT_EQ(cells.size(), 54u);
@@ -184,7 +183,8 @@ TEST(SweepPin, Table4CalendarWorkPerCell) {
       {23438, 769, 17522, 677}, {347, 151, 187, 98},
       {7602, 382, 3840, 261}, {2116, 187, 1313, 198},
   };
-  const std::vector<sim::Instance> cells = sweep_cells();
+  const std::vector<sim::Instance> cells =
+      sweep_cells::sweep_cells(kSeed, kStride);
   const std::vector<core::NamedRessched> algos = core::table4_algorithms();
   std::vector<CellWork> got;
   obs::set_metrics_enabled(true);
@@ -230,7 +230,7 @@ TEST(InstancePin, SweepCellsAreByteIdentical) {
   std::string bytes;
   std::size_t cells = 0;
   for (const std::uint64_t seed : {1, 2})
-    for (const sim::Instance& inst : sweep_cells(seed, 1)) {
+    for (const sim::Instance& inst : sweep_cells::sweep_cells(seed)) {
       append_instance(inst, bytes);
       ++cells;
     }
@@ -242,4 +242,65 @@ TEST(InstancePin, SweepCellsAreByteIdentical) {
                            11 * i + 3, kSeed),
         bytes);
   EXPECT_EQ(fnv::fnv1a(bytes), 0x2f87641478f46550ull) << bytes.size() << " bytes";
+}
+
+// CPA phase 1's work (paper §2.1, Table 8's V (V+E) P' term) on perfbench's
+// inputs: the allocations of every sweep cell of seeds 1 and 2 at q_hist
+// and at p, and the DL_RCBD_CPAR-λ deadline contexts (one CPA(q_hist) run
+// and the q_hist guideline series) of 64 ten-task DAGs drawn as the
+// replay draws them, on a 64-processor shard. Runs and grants are the
+// textbook loop's (one processor per grant; generated from Σ(alloc − 1)
+// without counters); a grant along an unchanged critical chain skips the
+// sweeps, so full sweeps stay at most 0.4 per grant.
+TEST(CpaPin, GrantsAndSweepsPerRun) {
+#ifdef RESCHED_OBS_DISABLED
+  GTEST_SKIP() << "metrics are compiled out";
+#else
+  // {runs, grants, sweeps}: seed 1 at q_hist, seed 1 at p, seed 2 at
+  // q_hist, seed 2 at p, the deadline contexts.
+  static constexpr CpaWork kExpected[] = {
+      {160, 311177, 103304}, {160, 378774, 113379},
+      {160, 309572, 112473}, {160, 365613, 125254},
+      {576, 50445, 13801},
+  };
+  std::vector<CpaWork> got;
+  obs::set_metrics_enabled(true);
+  for (const std::uint64_t seed : {1, 2}) {
+    const std::vector<sim::Instance> cells = sweep_cells::sweep_cells(seed);
+    got.push_back(cpa_work([&] {
+      for (const sim::Instance& inst : cells)
+        cpa::allocations(inst.dag, inst.q_hist);
+    }));
+    got.push_back(cpa_work([&] {
+      for (const sim::Instance& inst : cells)
+        cpa::allocations(inst.dag, inst.profile.capacity());
+    }));
+  }
+  online::ReplaySpec replay;
+  replay.app.num_tasks = 10;
+  replay.app.min_seq_time = 60.0;
+  replay.app.max_seq_time = 3600.0;
+  replay.seed = kSeed;
+  got.push_back(cpa_work([&] {
+    const int q_hists[] = {16, 40, 64};
+    for (int i = 0; i < 64; ++i)
+      core::make_deadline_context(
+          online::submission_for_job(workload::Job{}, i, replay).dag, 64,
+          q_hists[i % 3], core::DeadlineParams{});
+  }));
+  obs::set_metrics_enabled(false);
+
+  std::string table;
+  for (const CpaWork& w : got) {
+    table += "      {" + std::to_string(w.runs) + ", " +
+             std::to_string(w.grants) + ", " + std::to_string(w.sweeps) +
+             "},\n";
+    EXPECT_LE(static_cast<double>(w.sweeps),
+              0.4 * static_cast<double>(w.grants))
+        << "full sweeps per grant above 0.4";
+  }
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), std::begin(kExpected),
+                         std::end(kExpected)))
+      << "CPA work moved:\n" << table;
+#endif
 }
